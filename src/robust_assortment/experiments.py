@@ -23,6 +23,7 @@ from .learning import LearnConfig, _plan_on_estimate, learn_robust_assortment, s
 from .model import MnlModel, nominal_expected_revenue
 from .planning import plan, plan_unconstrained
 from .radius import ConstantRadius, VaryingRadius
+from .robust import kl_divergence
 from .simulate import (
     generate_dataset,
     instance_cardinality,
@@ -398,12 +399,10 @@ def run_fig1_demo(cfg: ExperimentConfig) -> ResultTable:
         return model_from_prior(prior, model.revenues, model.r_max)
 
     # scale the axes so the corner shifts stay within KL 0.1 of nominal
-    from .simulate import kl_between_priors
-
     scale = 1.0
     for _ in range(60):
         corner = prior_of(shifted_model(scale, scale))
-        if kl_between_priors(corner, p0) <= 0.1:
+        if kl_divergence(corner, p0) <= 0.1:
             break
         scale *= 0.8
     detail = []

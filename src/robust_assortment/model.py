@@ -13,6 +13,17 @@ from .base import InvalidAssortmentError, NumericRangeError
 V0 = 1.0
 
 
+def total_weight(attractions) -> float:
+    """No-purchase attraction plus the exactly rounded sum of ``attractions``."""
+    try:
+        total = V0 + math.fsum(attractions)
+    except OverflowError as exc:
+        raise NumericRangeError("total attraction overflowed the float range") from exc
+    if not math.isfinite(total):
+        raise NumericRangeError("total attraction overflowed the float range")
+    return total
+
+
 def as_assortment(items, n_items: int) -> tuple[int, ...]:
     """Validate an assortment and canonicalize it to a sorted tuple of 1-based ids.
 
@@ -70,13 +81,7 @@ class MnlModel:
 
     def assortment_weight(self, items) -> float:
         """Total attraction of ``items`` plus the no-purchase option."""
-        try:
-            total = V0 + math.fsum(self.attractions[i - 1] for i in items)
-        except OverflowError as exc:
-            raise NumericRangeError("total attraction overflowed the float range") from exc
-        if not math.isfinite(total):
-            raise NumericRangeError("total attraction overflowed the float range")
-        return total
+        return total_weight(self.attractions[i - 1] for i in items)
 
     def to_dict(self) -> dict:
         return {

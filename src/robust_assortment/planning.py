@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import MnlModel, nominal_expected_revenue
-from .radius import ConstantRadius, RadiusSpec, ZERO_RADIUS
-from .robust import robust_revenue
+from .radius import RadiusSpec
+from .robust import robust_revenue, robust_values
 
 _EXP_CAP = 700.0  # exp argument clip; saturated values are never minimizers
 
@@ -58,36 +58,21 @@ class _CurveFamily:
     """
 
     def __init__(self, attractions, revenues, r_max: float, spec: RadiusSpec):
+        if spec.is_zero:
+            raise ValueError("the radius must exceed the zero-radius cutoff here")
         self.v = np.asarray(attractions, dtype=float)
         self.r = np.asarray(revenues, dtype=float)
         self.r_max = float(r_max)
+        self.spec = spec
         self.varying = spec.is_varying
-        if isinstance(spec, ConstantRadius):
-            if spec.rho < ZERO_RADIUS:
-                raise ValueError("constant radius must exceed the zero-radius cutoff here")
-            self.shift = float(spec.rho)
-            self.target = 0.0
-            self.weight_all = None
-            self._shrink = None
-            self._cap_const = self.r_max / spec.rho
-        else:
-            if spec.rho0 < ZERO_RADIUS:
-                raise ValueError("rho0 must exceed the zero-radius cutoff here")
-            self.shift = 0.0
-            self.weight_all = 1.0 + spec.v_tot
-            # -(1 - e^{-rho0}) * (1 + v_tot), the feasibility target
-            self._shrink = -math.expm1(-spec.rho0)
-            self.target = -self._shrink * self.weight_all
-            self._cap_const = None
+        self.shift = 0.0 if self.varying else float(spec.rho)
+        # the varying rule's feasibility target is -(1 - e^{-rho0}) * (1 + v_tot)
+        self.target = math.expm1(-spec.rho0) * spec.weight_all if self.varying else 0.0
 
     def cap(self, weight_s: float) -> float | None:
         """Dual upper bound B(S) from the total attraction of S_+ (None if infeasible)."""
-        if not self.varying:
-            return self._cap_const
-        shrunk = self._shrink * self.weight_all / weight_s
-        if shrunk >= 1.0:
-            return None
-        return self.r_max / (-math.log1p(-shrunk))
+        rho = self.spec.radius_from_weight(weight_s)
+        return None if rho == math.inf else self.r_max / rho
 
     def active_items(self, level: float) -> np.ndarray:
         """0-based indices of items whose revenue clears the level."""
@@ -382,10 +367,7 @@ def plan_general(model: MnlModel, k: int, spec: RadiusSpec, eps: float) -> PlanR
         raise ValueError(f"k must lie in 1..{n}")
     if not eps > 0.0:
         raise ValueError("eps must be positive")
-    zero_radius = (
-        spec.rho < ZERO_RADIUS if isinstance(spec, ConstantRadius) else spec.rho0 < ZERO_RADIUS
-    )
-    if zero_radius:
+    if spec.is_zero:
         return _plan_nominal(model, k, eps)
 
     fam = _CurveFamily(model.attractions, model.revenues, model.r_max, spec)
@@ -425,20 +407,17 @@ def plan_general(model: MnlModel, k: int, spec: RadiusSpec, eps: float) -> PlanR
                       evaluations=counter.n, best_effort=not eps < value / 2.0)
 
 
-def plan_unconstrained(model: MnlModel, spec: RadiusSpec, tol: float = 1e-9) -> PlanResult:
+def plan_unconstrained(model: MnlModel, spec: RadiusSpec) -> PlanResult:
     """Exact unconstrained planner: the optimum is a revenue-ordered prefix."""
-    order = sorted(range(1, model.n_items + 1), key=lambda i: (-model.revenues[i - 1], i))
-    best_items: tuple[int, ...] = ()
-    best_val = 0.0
-    count = 0
-    for depth in range(1, model.n_items + 1):
-        items = tuple(sorted(order[:depth]))
-        count += 1
-        val = robust_revenue(model, items, spec, tol=tol, allow_degenerate=True).value
-        if val > best_val:
-            best_val, best_items = val, items
-    return PlanResult(assortment=best_items, value=best_val, certified_level=best_val,
-                      evaluations=count)
+    n = model.n_items
+    order = np.lexsort((np.arange(n), -model.revenues)).astype(np.int32) + 1  # by (-r_i, i)
+    values = robust_values(model, np.where(np.tri(n, dtype=bool), order, 0), spec)
+    depth = int(np.argmax(values))  # the shortest of the best prefixes
+    if not values[depth] > 0.0:
+        return PlanResult(assortment=(), value=0.0, certified_level=0.0, evaluations=n)
+    best_val = float(values[depth])
+    return PlanResult(assortment=tuple(sorted(order[:depth + 1].tolist())), value=best_val,
+                      certified_level=best_val, evaluations=n)
 
 
 def plan_uniform_revenue(model: MnlModel, k: int, spec: RadiusSpec,
@@ -457,8 +436,7 @@ def plan_uniform_revenue(model: MnlModel, k: int, spec: RadiusSpec,
     return PlanResult(assortment=items, value=val, certified_level=val, evaluations=1)
 
 
-def plan_bruteforce(model: MnlModel, k: int, spec: RadiusSpec,
-                    tol: float = 1e-9) -> PlanResult:
+def plan_bruteforce(model: MnlModel, k: int, spec: RadiusSpec) -> PlanResult:
     """Exhaustive oracle: evaluates every assortment of size <= k.
 
     Ties within a hair of the maximum break to the lexicographically smallest
@@ -469,18 +447,24 @@ def plan_bruteforce(model: MnlModel, k: int, spec: RadiusSpec,
         raise ValueError("plan_bruteforce is limited to n_items <= 22")
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in 0..{n}")
-    evaluated: list[tuple[float, tuple[int, ...]]] = []
-    for size in range(0, k + 1):
-        for combo in itertools.combinations(range(1, n + 1), size):
-            val = 0.0 if not combo else robust_revenue(
-                model, combo, spec, tol=tol, allow_degenerate=True).value
-            evaluated.append((val, combo))
-    best_val = max(val for val, _ in evaluated)
+    # one kernel call per set size; combinations come in lexicographic order
+    by_size = [(np.zeros((1, 0), dtype=np.intp), np.zeros(1))]  # the empty set scores 0
+    for size in range(1, k + 1):
+        combos = np.fromiter(
+            itertools.chain.from_iterable(itertools.combinations(range(1, n + 1), size)),
+            dtype=np.intp).reshape(-1, size)
+        by_size.append((combos, robust_values(model, combos, spec)))
+    best_val = max(float(values.max()) for _, values in by_size)
     tie = 1e-10 * model.r_max
-    winner = min(items for val, items in evaluated if val >= best_val - tie)
-    best_val = max(val for val, items in evaluated if items == winner)
+    # the lexicographically smallest tied set: the first tied row of each size, then min
+    tied = []
+    for combos, values in by_size:
+        rows = np.nonzero(values >= best_val - tie)[0]
+        if rows.size:
+            tied.append((tuple(combos[rows[0]].tolist()), float(values[rows[0]])))
+    winner, best_val = min(tied)
     return PlanResult(assortment=winner, value=best_val, certified_level=best_val,
-                      evaluations=len(evaluated))
+                      evaluations=sum(values.size for _, values in by_size))
 
 
 def plan(model: MnlModel, k: int, spec: RadiusSpec, eps: float | None = None) -> PlanResult:

@@ -12,29 +12,41 @@ from .model import MnlModel, as_assortment
 ZERO_RADIUS = 1e-12
 
 
+class _RadiusRule:
+    """What both rules share; each rule supplies ``radius_from_weight`` and ``is_zero``."""
+
+    def radius(self, model: MnlModel, items) -> float:
+        items = as_assortment(items, model.n_items)
+        weight_s = model.assortment_weight(items)
+        rho = self.radius_from_weight(weight_s)
+        if rho == math.inf:
+            raise RadiusInfeasibleError(
+                f"radius undefined for {items}: total attraction {weight_s} leaves no "
+                "conditional mass", items=items)
+        return rho
+
+    def dual_cap(self, model: MnlModel, items) -> float:
+        rho = self.radius(model, items)
+        return math.inf if rho < ZERO_RADIUS else model.r_max / rho
+
+
 @dataclass(frozen=True)
-class ConstantRadius:
+class ConstantRadius(_RadiusRule):
     """One KL radius shared by every assortment."""
 
     rho: float
+    is_varying = False
 
     def __post_init__(self):
         if not (self.rho >= 0.0 and math.isfinite(self.rho)):
             raise ValueError("rho must be a finite nonnegative real")
 
     @property
-    def is_varying(self) -> bool:
-        return False
+    def is_zero(self) -> bool:
+        return self.rho < ZERO_RADIUS
 
-    def radius(self, model: MnlModel, items) -> float:
-        as_assortment(items, model.n_items)
+    def radius_from_weight(self, weight_s: float) -> float:
         return self.rho
-
-    def dual_cap(self, model: MnlModel, items) -> float:
-        rho = self.radius(model, items)
-        if rho < ZERO_RADIUS:
-            return math.inf
-        return model.r_max / rho
 
 
 def varying_radius_primary(rho0: float, weight_all: float, weight_s: float) -> float:
@@ -48,17 +60,16 @@ def varying_radius_primary(rho0: float, weight_all: float, weight_s: float) -> f
 
 
 def varying_radius_conditional(rho0: float, weight_all: float, weight_s: float) -> float:
-    """Equivalent conditional-prior form: -log(1 - (1 - e^-rho0) * c)."""
+    """Equivalent conditional-prior form: -log(1 - (1 - e^-rho0) * c).
+
+    Returns inf where the conditional mass 1 - (1 - e^-rho0) * c is not positive.
+    """
     shrink = -math.expm1(-rho0) * weight_all / weight_s
-    if shrink >= 1.0:
-        raise RadiusInfeasibleError(
-            f"radius undefined: conditional mass 1 - {shrink} <= 0"
-        )
-    return -math.log1p(-shrink)
+    return math.inf if shrink >= 1.0 else -math.log1p(-shrink)
 
 
 @dataclass(frozen=True)
-class VaryingRadius:
+class VaryingRadius(_RadiusRule):
     """Assortment-dependent radius induced by a global prior-level budget.
 
     ``v_tot`` is the total item attraction of the environment the budget
@@ -68,6 +79,7 @@ class VaryingRadius:
 
     rho0: float
     v_tot: float
+    is_varying = True
 
     def __post_init__(self):
         if not (self.v_tot > 0.0 and math.isfinite(self.v_tot)):
@@ -79,29 +91,20 @@ class VaryingRadius:
             )
 
     @property
-    def is_varying(self) -> bool:
-        return True
+    def is_zero(self) -> bool:
+        return self.rho0 < ZERO_RADIUS
 
     @property
     def weight_all(self) -> float:
         """Total attraction including no-purchase: 1 + v_tot."""
         return 1.0 + self.v_tot
 
-    def radius(self, model: MnlModel, items) -> float:
-        items = as_assortment(items, model.n_items)
-        if self.rho0 < ZERO_RADIUS:
+    def radius_from_weight(self, weight_s: float) -> float:
+        """Radius of a set whose attraction plus no-purchase totals ``weight_s``; inf
+        where the formula has no finite value."""
+        if self.is_zero:
             return 0.0
-        weight_s = model.assortment_weight(items)
-        try:
-            return varying_radius_conditional(self.rho0, self.weight_all, weight_s)
-        except RadiusInfeasibleError as exc:
-            raise RadiusInfeasibleError(str(exc), items=items) from exc
-
-    def dual_cap(self, model: MnlModel, items) -> float:
-        rho = self.radius(model, items)
-        if rho < ZERO_RADIUS:
-            return math.inf
-        return model.r_max / rho
+        return varying_radius_conditional(self.rho0, self.weight_all, weight_s)
 
 
 RadiusSpec = Union[ConstantRadius, VaryingRadius]

@@ -8,6 +8,7 @@ import numpy as np
 from .base import RobustAssortmentError
 from .estimation import OfflineDataset
 from .model import MnlModel, as_assortment, nominal_expected_revenue
+from .robust import kl_divergence
 
 
 def generate_dataset(model: MnlModel, schedule, rng: np.random.Generator) -> OfflineDataset:
@@ -108,11 +109,6 @@ def model_from_prior(prior: np.ndarray, revenues, r_max: float) -> MnlModel:
     return MnlModel(attractions=prior[1:] / prior[0], revenues=revenues, r_max=r_max)
 
 
-def kl_between_priors(p: np.ndarray, q: np.ndarray) -> float:
-    mask = p > 0.0
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
-
-
 def perturb_prior(model: MnlModel, kl_bucket: tuple[float, float],
                   rng: np.random.Generator) -> tuple[MnlModel, float]:
     """Random perturbed environment whose prior shift lands in a KL bucket.
@@ -138,7 +134,7 @@ def perturb_prior(model: MnlModel, kl_bucket: tuple[float, float],
         prior = rng.dirichlet(conc * p0 * dim)
         if prior[0] < 1e-12 or np.any(prior < 1e-300):
             continue
-        kl = kl_between_priors(prior, p0)
+        kl = kl_divergence(prior, p0)
         if lo <= kl < hi:
             perturbed = model_from_prior(prior, model.revenues, model.r_max)
             return perturbed, kl

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from robust_assortment import (
     ConstantRadius,
     MnlModel,
+    RadiusInfeasibleError,
     VaryingRadius,
     choice_probabilities,
     evaluate_level_slack,
@@ -15,6 +17,7 @@ from robust_assortment import (
     plan_general,
     plan_unconstrained,
     plan_uniform_revenue,
+    primal_robust_revenue_oracle,
     robust_revenue,
 )
 
@@ -235,3 +238,57 @@ def test_complexity_scaling(rng):
         means.append(np.mean(counts))
     slope, _ = np.polyfit(np.log(sizes), np.log(means), 1)
     assert slope <= 2.3
+
+
+def _primal_value(model, items, spec):
+    if not items:
+        return 0.0
+    try:
+        rho = spec.radius(model, items)
+    except RadiusInfeasibleError:
+        rho = math.inf
+    return primal_robust_revenue_oracle(model, items, rho)
+
+
+def _oracle_bruteforce(model, k, spec):
+    """Every set of size <= k scored on the primal side, under plan_bruteforce's tie rule."""
+    scored = [(_primal_value(model, combo, spec), combo)
+              for size in range(k + 1)
+              for combo in itertools.combinations(range(1, model.n_items + 1), size)]
+    best = max(value for value, _ in scored)
+    return min((items, value) for value, items in scored if value >= best - 1e-10 * model.r_max)
+
+
+def _oracle_unconstrained(model, spec):
+    """The first revenue-ordered prefix of largest primal value (empty if none is positive)."""
+    order = sorted(range(1, model.n_items + 1), key=lambda i: (-model.revenues[i - 1], i))
+    best_items, best_value = (), 0.0
+    for depth in range(1, model.n_items + 1):
+        items = tuple(sorted(order[:depth]))
+        value = _primal_value(model, items, spec)
+        if value > best_value:
+            best_items, best_value = items, value
+    return best_items, best_value
+
+
+@pytest.mark.parametrize("inputs", ["ties", "zero"])
+def test_exact_planners_match_primal_oracle_on_ties_and_zero_revenues(inputs):
+    rng = np.random.default_rng(2718 if inputs == "ties" else 3141)
+    for trial in range(25):
+        n = int(rng.integers(2, 11))
+        r = rng.uniform(0.1, 1.0, n)
+        if inputs == "ties":
+            r = np.ceil(r * 4.0) / 4.0
+        else:
+            r[rng.choice(n, size=max(1, n // 3), replace=False)] = 0.0
+        m = MnlModel(attractions=rng.uniform(0.05, 3.0, n), revenues=r, r_max=1.0)
+        spec = random_spec(rng, m, varying=bool(trial % 2))
+        k = int(rng.integers(1, min(4, n) + 1))
+        brute = plan_bruteforce(m, k, spec)
+        items, value = _oracle_bruteforce(m, k, spec)
+        assert brute.assortment == items
+        assert abs(brute.value - value) <= 1e-9
+        exact = plan_unconstrained(m, spec)
+        items, value = _oracle_unconstrained(m, spec)
+        assert exact.assortment == items
+        assert abs(exact.value - value) <= 1e-9

@@ -15,8 +15,8 @@ from robust_assortment import (
     primal_robust_revenue_oracle,
     radius,
     robust_revenue,
-    robust_revenue_varying_primal_check,
 )
+from robust_assortment.radius import ZERO_RADIUS
 
 from conftest import random_assortment, random_model, random_spec
 
@@ -160,6 +160,53 @@ def test_primal_oracle_against_dense_grid():
     fine = np.linspace(max(0.0, beta_coarse - width), beta_coarse + width, 10 ** 6)
     grid_min, _ = _tilt_grid_min(probs, revs, 0.1, fine)
     assert primal_robust_revenue_oracle(m, (1,), 0.1) == pytest.approx(grid_min, abs=1e-6)
+
+
+def robust_revenue_varying_primal_check(model, items, rho0: float, samples: int, rng) -> float:
+    """Monte-Carlo one-sided check of the varying-radius robust revenue.
+
+    Samples priors within KL distance ``rho0`` of the prior induced by the
+    model (Dirichlet proposals, rejection on the KL constraint) and returns
+    the smallest conditional expected revenue seen.  The dual value can never
+    exceed this minimum by more than solver tolerance.
+    """
+    if rho0 < ZERO_RADIUS:
+        return nominal_expected_revenue(model, items)
+    n_plus = model.n_items + 1
+    p0 = np.concatenate(([1.0], model.attractions)) / (1.0 + model.v_tot)
+    member = np.zeros(n_plus, dtype=bool)
+    member[0] = True
+    for i in items:
+        member[i] = True
+    revs = np.concatenate(([0.0], model.revenues))
+
+    def conditional_revenue(prior: np.ndarray) -> float:
+        mass = float(prior[member].sum())
+        return float((prior[member] * revs[member]).sum() / mass)
+
+    best = conditional_revenue(p0)
+    accepted = 0
+    budget = 10 ** 5
+    c_lo = max(2.0, 0.25 * n_plus / rho0)
+    c_hi = 100.0 * c_lo
+    while accepted < samples and budget > 0:
+        batch = min(512, budget)
+        budget -= batch
+        for _ in range(batch):
+            conc = math.exp(rng.uniform(math.log(c_lo), math.log(c_hi)))
+            prior = rng.dirichlet(conc * p0 * n_plus)
+            if np.any(prior <= 0.0):
+                continue
+            kl = float(np.sum(prior * np.log(prior / p0)))
+            if kl > rho0:
+                continue
+            accepted += 1
+            rev = conditional_revenue(prior)
+            if rev < best:
+                best = rev
+            if accepted >= samples:
+                break
+    return best
 
 
 def test_varying_primal_check_zero_budget(rng):

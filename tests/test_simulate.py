@@ -10,13 +10,14 @@ from robust_assortment import (
     generate_dataset,
     instance_cardinality,
     instance_sample_efficiency,
+    kl_divergence,
     perturb_prior,
     plan,
     random_schedule,
     rank_breaking,
     shift_metrics,
 )
-from robust_assortment.simulate import kl_between_priors, model_from_prior, prior_of
+from robust_assortment.simulate import model_from_prior, prior_of
 
 
 def test_instance_sample_efficiency_model_values():
@@ -94,7 +95,7 @@ def test_perturb_prior_round_trip_and_bucket(rng):
     m = MnlModel(attractions=np.array([0.5, 1.5, 1.0]), revenues=np.ones(3))
     for bucket in ((0.0, 1.0), (1.0, math.inf)):
         shifted, kl = perturb_prior(m, bucket, rng)
-        recomputed = kl_between_priors(prior_of(shifted), prior_of(m))
+        recomputed = kl_divergence(prior_of(shifted), prior_of(m))
         assert recomputed == pytest.approx(kl, rel=1e-9)
         assert bucket[0] <= recomputed < bucket[1]
     prior = prior_of(m)
