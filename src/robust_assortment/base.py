@@ -32,6 +32,14 @@ class DataValidationError(RobustAssortmentError, ValueError):
         self.record_index = record_index
 
 
+class ModelFormatError(RobustAssortmentError, ValueError):
+    """A model payload is not an object with attractions and revenues."""
+
+
+class ConfigError(RobustAssortmentError, ValueError):
+    """An experiment config names settings that do not exist."""
+
+
 class NotFittedError(RobustAssortmentError, AttributeError):
     """fit() has not been called on this estimator yet."""
 

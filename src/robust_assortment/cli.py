@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 
-from .base import RobustAssortmentError
+from .base import ConfigError, RobustAssortmentError
 from .estimation import load_dataset
 from .experiments import EXPERIMENT_NAMES, default_config, run_experiment
 from .learning import LearnConfig, learn_robust_assortment
@@ -115,6 +115,11 @@ def _cmd_exp(args) -> int:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{args.config}: the config must be a JSON object")
+        flagged = sorted({"name", "seed", "out_dir"} & set(raw))
+        if flagged:
+            raise ConfigError(f"{args.config}: {', '.join(flagged)} are set by command-line flags")
         for key, value in raw.items():
             overrides[key] = tuple(value) if isinstance(value, list) else value
     if args.replications is not None:

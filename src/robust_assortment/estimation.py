@@ -25,7 +25,7 @@ class OfflineDataset:
     """A sequence of (offered assortment, observed choice) records."""
 
     def __init__(self, records):
-        self.records = [(tuple(int(i) for i in s), int(c)) for s, c in records]
+        self.records = [(tuple(map(int, s)), int(c)) for s, c in records]
 
     @property
     def n(self) -> int:
@@ -50,12 +50,17 @@ class OfflineDataset:
     def from_jsonl(cls, path) -> "OfflineDataset":
         records = []
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
                     continue
-                row = json.loads(line)
-                records.append((row["assortment"], row["choice"]))
+                try:
+                    row = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DataValidationError(
+                        f"{path} line {line_no}: invalid JSON: {exc.msg} (column {exc.colno})",
+                        record_index=len(records),
+                    ) from exc
+                records.append(_parse_record(row, path, line_no, len(records)))
         return cls(records)
 
     def to_csv(self, path) -> None:
@@ -69,11 +74,25 @@ class OfflineDataset:
     def from_csv(cls, path) -> "OfflineDataset":
         records = []
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            for row in csv.DictReader(fh):
-                raw = row["assortment"].strip()
-                items = [int(x) for x in raw.split(";")] if raw else []
-                records.append((items, int(row["choice"])))
+            reader = csv.DictReader(fh)
+            for row in reader:
+                records.append(_parse_record(row, path, reader.line_num, len(records)))
         return cls(records)
+
+
+def _parse_record(row, path, line_no: int, index: int) -> tuple[tuple[int, ...], int]:
+    """The (assortment, choice) pair of one file record, read from a JSON object
+    or a CSV row whose assortment is semicolon-joined ids."""
+    try:
+        items, choice = row["assortment"], row["choice"]
+        if isinstance(items, str):
+            items = items.split(";") if items.strip() else ()
+        return tuple(map(int, items)), int(choice)
+    except KeyError as exc:
+        message = f"record has no {exc} field"
+    except (TypeError, ValueError) as exc:
+        message = f"malformed record: {exc}"
+    raise DataValidationError(f"{path} line {line_no}: {message}", record_index=index)
 
 
 def load_dataset(path) -> OfflineDataset:

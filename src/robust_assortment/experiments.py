@@ -13,11 +13,12 @@ import datetime
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
+from .base import ConfigError
 from .estimation import point_and_lcb, rank_breaking
 from .learning import LearnConfig, _plan_on_estimate, learn_robust_assortment, suboptimality
 from .model import MnlModel, nominal_expected_revenue
@@ -87,6 +88,9 @@ def hash_path(path) -> int:
 def default_config(name: str, seed: int, out_dir: str = ".", **overrides) -> ExperimentConfig:
     if name not in EXPERIMENT_NAMES:
         raise ValueError(f"unknown experiment {name!r}; choose from {EXPERIMENT_NAMES}")
+    unknown = sorted(set(overrides) - {f.name for f in fields(ExperimentConfig)})
+    if unknown:
+        raise ConfigError(f"unknown experiment config keys: {', '.join(unknown)}")
     base = ExperimentConfig(name=name, seed=seed, out_dir=out_dir)
     return replace(base, **overrides) if overrides else base
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import InvalidAssortmentError, NumericRangeError
+from .base import InvalidAssortmentError, ModelFormatError, NumericRangeError
 
 #: Attraction of the no-purchase option, fixed by the usual normalization.
 V0 = 1.0
@@ -92,6 +92,11 @@ class MnlModel:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "MnlModel":
+        if not isinstance(payload, dict):
+            raise ModelFormatError("a model must be a JSON object")
+        missing = [key for key in ("attractions", "revenues") if key not in payload]
+        if missing:
+            raise ModelFormatError(f"model has no {' or '.join(map(repr, missing))} field")
         return cls(
             attractions=np.asarray(payload["attractions"], dtype=float),
             revenues=np.asarray(payload["revenues"], dtype=float),
@@ -171,18 +176,15 @@ def nominal_expected_revenue(model: MnlModel, items) -> float:
     return float(math.fsum(model.attractions[i - 1] * model.revenues[i - 1] for i in items) / total)
 
 
+def _draw_choices(model: MnlModel, items: tuple[int, ...], size: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """``size`` inverse-CDF draws from the MNL conditional over canonical ``items``."""
+    support = np.array((0, *items), dtype=np.int64)
+    weights = np.concatenate(([V0], model.attractions[support[1:] - 1]))
+    drawn = np.searchsorted(np.cumsum(weights / weights.sum()), rng.random(size), side="right")
+    return support[np.minimum(drawn, support.size - 1)]  # the rounded CDF can end below 1
+
+
 def sample_choice(model: MnlModel, items, rng: np.random.Generator) -> int:
     """Draw one choice from the MNL conditional distribution; 0 means no purchase."""
-    items = as_assortment(items, model.n_items)
-    if not items:
-        return 0
-    total = model.assortment_weight(items)
-    u = rng.random() * total
-    acc = V0
-    if u < acc:
-        return 0
-    for i in items:
-        acc += model.attractions[i - 1]
-        if u < acc:
-            return i
-    return items[-1]
+    return int(_draw_choices(model, as_assortment(items, model.n_items), 1, rng)[0])

@@ -7,8 +7,13 @@ import numpy as np
 
 from .base import RobustAssortmentError
 from .estimation import OfflineDataset
-from .model import MnlModel, as_assortment, nominal_expected_revenue
-from .robust import kl_divergence
+from .model import MnlModel, _draw_choices, as_assortment, nominal_expected_revenue
+from .robust import _tilt_to_kl, kl_divergence
+
+#: A prior shift tilts by at most beta*(max d - min d) = _TILT_SPAN, so no probability
+#: falls below exp(-_TILT_SPAN) times its nominal one; its KL target stays a relative
+#: _REACH_MARGIN below that tilt's, where bisection can still place it.
+_TILT_SPAN, _REACH_MARGIN = 600.0, 1e-12
 
 
 def generate_dataset(model: MnlModel, schedule, rng: np.random.Generator) -> OfflineDataset:
@@ -25,13 +30,7 @@ def generate_dataset(model: MnlModel, schedule, rng: np.random.Generator) -> Off
 
     choices = np.zeros(len(plan), dtype=np.int64)
     for items, positions in groups.items():
-        support = np.array((0, *items), dtype=np.int64)
-        weights = np.concatenate(([1.0], model.attractions[np.array(items, dtype=np.int64) - 1])) \
-            if items else np.array([1.0])
-        cum = np.cumsum(weights / weights.sum())
-        u = rng.random(len(positions))
-        drawn = support[np.searchsorted(cum, u, side="right")]
-        choices[np.array(positions)] = drawn
+        choices[np.array(positions)] = _draw_choices(model, items, len(positions), rng)
     return OfflineDataset([(plan[i], int(choices[i])) for i in range(len(plan))])
 
 
@@ -113,34 +112,34 @@ def perturb_prior(model: MnlModel, kl_bucket: tuple[float, float],
                   rng: np.random.Generator) -> tuple[MnlModel, float]:
     """Random perturbed environment whose prior shift lands in a KL bucket.
 
-    Draws Dirichlet proposals centered on the model's prior with a
-    log-uniform concentration sweep, rejecting until the KL divergence of the
-    proposal from the nominal prior falls in ``kl_bucket = (lo, hi)``.
+    Tilts the prior p0 (no purchase first) along a Gaussian logit direction d
+    to q ~ p0*exp(beta*d), bisecting beta to a KL(q || p0) drawn uniformly
+    from ``kl_bucket = (lo, hi)`` below the direction's reach.  A direction
+    that cannot reach ``lo`` gives way to the tilt toward the least likely
+    choice; a bucket beyond that tilt's reach raises before any draw.
     Returns the perturbed model and the realized KL value.
     """
     lo, hi = float(kl_bucket[0]), float(kl_bucket[1])
     if not 0.0 <= lo < hi:
         raise ValueError("kl_bucket must be an interval (lo, hi) with 0 <= lo < hi")
     p0 = prior_of(model)
-    dim = p0.size
-    # concentration scales inversely with the KL shift one wants to realize
-    anchor = max(lo, 0.02)
-    c_lo = max(0.3, 0.1 * dim / anchor) if math.isfinite(hi) else max(0.2, 0.02 * dim)
-    c_hi = (4.0 * dim / max(anchor, 1e-3)) if math.isfinite(hi) else 2.0 * dim / max(lo, 0.05)
-    budget = 10 ** 5
-    while budget > 0:
-        budget -= 1
-        conc = math.exp(rng.uniform(math.log(c_lo), math.log(c_hi)))
-        prior = rng.dirichlet(conc * p0 * dim)
-        if prior[0] < 1e-12 or np.any(prior < 1e-300):
-            continue
-        kl = kl_divergence(prior, p0)
-        if lo <= kl < hi:
-            perturbed = model_from_prior(prior, model.revenues, model.r_max)
-            return perturbed, kl
-    raise RobustAssortmentError(
-        f"rejection budget exhausted while targeting KL bucket [{lo}, {hi})"
-    )
+    far = (np.arange(p0.size) == np.argmin(p0)).astype(float)
+    top = _reach(p0, far)  # just below the KL of the least likely choice's point mass
+    if top <= lo:
+        raise RobustAssortmentError(f"KL bucket [{lo}, {hi}) is unreachable: shifts reach KL {top}")
+    d = rng.standard_normal(p0.size)
+    reach = _reach(p0, d)
+    if reach <= lo:
+        d, reach = far, top
+    q, _ = _tilt_to_kl(p0.tolist(), (d.max() - d).tolist(), rng.uniform(lo, min(hi, reach)))
+    perturbed = model_from_prior(q, model.revenues, model.r_max)
+    return perturbed, kl_divergence(prior_of(perturbed), p0)
+
+
+def _reach(p0: np.ndarray, d: np.ndarray) -> float:
+    """KL(q || p0) at the tilt beta*(max d - min d) = _TILT_SPAN, less _REACH_MARGIN."""
+    q = p0 * np.exp(_TILT_SPAN * (d - d.max()) / (d.max() - d.min()))
+    return kl_divergence(q / q.sum(), p0) * (1.0 - _REACH_MARGIN)
 
 
 def random_schedule(n: int, n_items: int, rng: np.random.Generator) -> list[tuple[int, ...]]:

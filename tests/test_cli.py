@@ -133,3 +133,42 @@ def test_usage_error_exits_2():
 def test_runtime_error_exits_1(tmp_path):
     assert main(["plan", "--model", str(tmp_path / "missing.json"),
                  "--rho", "0.1", "--k", "1"]) == 1
+
+
+def test_model_without_field_is_a_typed_error(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"revenues": [1.0, 0.5]}))
+    assert main(["plan", "--model", str(path), "--rho", "0.1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'attractions'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, text, where", [
+    ("nochoice.jsonl", '{"assortment": [1], "choice": 1}\n{"assortment": [1]}\n',
+     "line 2: record has no 'choice'"),
+    ("noassortment.jsonl", '{"choice": 0}\n', "line 1: record has no 'assortment'"),
+    ("badjson.jsonl", '{"assortment": [1], "choice": 1}\n\n{"assortment": [1], "choice": 1,}\n',
+     "line 3: invalid JSON"),
+    ("nochoice.csv", "assortment\n1\n", "line 2: record has no 'choice'"),
+    ("baditem.csv", "assortment,choice\n1,1\n1;x,0\n", "line 3: malformed record"),
+])
+def test_dataset_line_errors_name_the_file_line(tmp_path, capsys, name, text, where):
+    data = tmp_path / name
+    data.write_text(text)
+    assert main(["learn", "--data", str(data), "--n-items", "1", "--k", "1",
+                 "--rho", "0.1", "--revenues", "1.0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and where in err
+
+
+@pytest.mark.parametrize("config, named", [
+    ({"replications": 1, "n_efect": 5, "k_gird": [2]}, "k_gird, n_efect"),
+    ({"seed": 3}, "seed"),
+])
+def test_exp_config_errors_are_typed(tmp_path, capsys, config, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["exp", "--name", "exp3", "--seed", "1", "--out", str(tmp_path / "out"),
+                 "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err

@@ -45,6 +45,19 @@ def test_rank_breaking_validates_choice():
     assert err.value.record_index == 1
 
 
+def test_loaders_set_record_index_and_file_line(tmp_path):
+    jsonl = tmp_path / "d.jsonl"
+    jsonl.write_text('{"assortment": [1], "choice": 1}\n\n{"assortment": [2]}\n')
+    with pytest.raises(DataValidationError, match="line 3") as err:
+        load_dataset(jsonl)
+    assert err.value.record_index == 1
+    table = tmp_path / "d.csv"
+    table.write_text("assortment,choice\n1,1\n2,0\n1;2,one\n")
+    with pytest.raises(DataValidationError, match="line 4") as err:
+        load_dataset(table)
+    assert err.value.record_index == 2
+
+
 def test_point_and_lcb_uncovered_item():
     counts = rank_breaking(OfflineDataset([((1,), 1)]), 2)
     est = point_and_lcb(counts, delta=0.1)

@@ -15,6 +15,7 @@ from robust_assortment import (
 from robust_assortment.experiments import (
     default_config,
     run_exp_cardinality,
+    run_exp_robustness,
     run_exp_sample_efficiency,
     run_experiment,
     run_fig1_demo,
@@ -97,3 +98,15 @@ def test_fig1_demo_robust_plan_has_better_worst_case():
     table = run_fig1_demo(default_config("fig1-demo", seed=1))
     worst_nominal, worst_robust, _ = table.summary_rows[0]
     assert worst_robust >= worst_nominal
+
+
+def test_exp2_runs_at_its_default_catalogue_size():
+    cfg = default_config("exp2", seed=3, perturbations_per_bucket=20, n_dataset_exp2=2000)
+    assert cfg.n_items_exp2 == 50
+    table = run_exp_robustness(cfg)
+    buckets = {"small": (0.0, 1.0), "large": (1.0, math.inf)}
+    assert len(table.detail_rows) == 2 * 2 * 20
+    for _, bucket, _, kl, gain, _, _ in table.detail_rows:
+        lo, hi = buckets[bucket]
+        assert lo <= kl < hi
+        assert gain >= 0.0

@@ -11,6 +11,7 @@ from robust_assortment import (
     ChoiceDistribution,
     InvalidAssortmentError,
     MnlModel,
+    ModelFormatError,
     NumericRangeError,
     as_assortment,
     choice_probabilities,
@@ -157,6 +158,15 @@ def test_model_validation_rejects_bad_inputs(tmp_path):
     path.write_text(json.dumps({"attractions": [1.0, -1.0], "revenues": [1.0, 1.0]}))
     with pytest.raises(ValueError):
         load_model(path)
+
+
+def test_model_payload_without_field_names_it():
+    with pytest.raises(ModelFormatError, match="'revenues'"):
+        MnlModel.from_dict({"attractions": [1.0]})
+    with pytest.raises(ModelFormatError, match="'attractions' or 'revenues'"):
+        MnlModel.from_dict({"r_max": 1.0})
+    with pytest.raises(ModelFormatError):
+        MnlModel.from_dict([1.0, 2.0])
 
 
 def test_overflow_guard():

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robust_assortment import (
     ConstantRadius,
     MnlModel,
+    RobustAssortmentError,
     choice_probabilities,
     generate_dataset,
     instance_cardinality,
@@ -15,6 +18,7 @@ from robust_assortment import (
     plan,
     random_schedule,
     rank_breaking,
+    sample_choice,
     shift_metrics,
 )
 from robust_assortment.simulate import model_from_prior, prior_of
@@ -109,6 +113,57 @@ def test_perturb_prior_determinism():
     b = perturb_prior(m, (0.0, 1.0), np.random.default_rng(5))
     np.testing.assert_array_equal(a[0].attractions, b[0].attractions)
     assert a[1] == b[1]
+
+
+@given(
+    st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=20),
+    st.one_of(st.floats(0.0, 0.999), st.floats(1.0, 3.0)),
+    st.one_of(st.floats(1e-3, 10.0), st.just(math.inf)),
+    st.integers(0, 2 ** 32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_perturb_prior_lands_in_bucket(log_attractions, lo_share, width, seed):
+    m = MnlModel(attractions=10.0 ** np.array(log_attractions),
+                 revenues=np.ones(len(log_attractions)))
+    limit = -math.log(prior_of(m).min())  # KL of the least likely choice's point mass
+    lo = lo_share * limit
+    bucket = (lo, lo + width)
+    rng = np.random.default_rng(seed)
+    if limit <= lo:
+        with pytest.raises(RobustAssortmentError, match="unreachable"):
+            perturb_prior(m, bucket, rng)
+        return
+    shifted, kl = perturb_prior(m, bucket, rng)
+    assert np.all(shifted.attractions > 0.0) and np.all(np.isfinite(shifted.attractions))
+    recomputed = kl_divergence(prior_of(shifted), prior_of(m))
+    assert recomputed == kl
+    assert bucket[0] <= recomputed < bucket[1]
+
+
+def test_perturb_prior_unreachable_bucket_draws_nothing():
+    m = MnlModel(attractions=np.array([1.0, 1.0]), revenues=np.ones(2))  # limit log 3
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(RobustAssortmentError, match="unreachable"):
+        perturb_prior(m, (math.log(3.0), math.inf), rng)
+    assert rng.bit_generator.state == state
+    _, kl = perturb_prior(m, (0.99 * math.log(3.0), math.inf), rng)
+    assert 0.99 * math.log(3.0) <= kl < math.log(3.0)
+
+
+def test_generate_dataset_draw_at_top_of_unit_interval():
+    # the rounded CDF of these weights ends below 1, so a uniform draw of
+    # nextafter(1, 0) lies beyond it and must still pick the last item
+    m = MnlModel(attractions=np.array([0.1, 0.2]), revenues=np.ones(2))
+    top = np.nextafter(1.0, 0.0)
+    assert np.cumsum(np.array([1.0, 0.1, 0.2]) / 1.3)[-1] <= top
+
+    class TopDraw:
+        def random(self, size=None):
+            return np.full(size, top)
+
+    assert generate_dataset(m, [(1, 2)] * 3, TopDraw()).records == [((1, 2), 2)] * 3
+    assert sample_choice(m, (1, 2), TopDraw()) == 2
 
 
 def test_random_schedule_validity(rng):
