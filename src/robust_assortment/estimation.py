@@ -11,10 +11,11 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .base import DataValidationError, ParamsMixin, check_fitted
+from .base import DataValidationError, InvalidAssortmentError, ParamsMixin, check_fitted
 from .model import MnlModel, as_assortment
 
 #: Cap applied to the plug-in attraction when the win-rate estimate is 1.
@@ -22,23 +23,57 @@ DEFAULT_V_CAP = 1e9
 
 
 class OfflineDataset:
-    """A sequence of (offered assortment, observed choice) records."""
+    """Offline (offered assortment, observed choice) records in CSR form.
+
+    Record i offered ``items[offsets[i]:offsets[i + 1]]``, in the order it was
+    given, and chose ``choices[i]`` (0 means no purchase).  The three arrays
+    are read-only int64; ``records`` rebuilds the (ids, choice) pairs on demand.
+    """
 
     def __init__(self, records):
-        self.records = [(tuple(map(int, s)), int(c)) for s, c in records]
+        records = list(records)
+        self._store(*_csr([items for items, _ in records]), [choice for _, choice in records])
+
+    @classmethod
+    def from_arrays(cls, offsets, items, choices) -> "OfflineDataset":
+        """The dataset of these CSR arrays, copied after a check of their shapes."""
+        dataset = cls.__new__(cls)
+        dataset._store(offsets, items, choices)
+        return dataset
+
+    def _store(self, offsets, items, choices) -> None:
+        arrays = offsets, items, choices = [np.asarray(a) for a in (offsets, items, choices)]
+        # uint64 is refused: casting it to int64 would wrap ids of 2**63 and more
+        if (any(a.ndim != 1 or (a.size and (a.dtype.kind not in "iu" or a.dtype == np.uint64))
+                for a in arrays)
+                or offsets.size != choices.size + 1 or offsets[0] != 0
+                or offsets[-1] != items.size or np.any(np.diff(offsets) < 0)):
+            raise DataValidationError("offsets, items and choices must be 1-D integer arrays, "
+                                      "offsets rising from 0 to len(items), one step per choice")
+        self.offsets, self.items, self.choices = arrays = [a.astype(np.int64) for a in arrays]
+        for a in arrays:
+            a.flags.writeable = False
+
+    @property
+    def records(self) -> list[tuple[tuple[int, ...], int]]:
+        flat, bounds = self.items.tolist(), self.offsets.tolist()
+        return [(tuple(flat[a:b]), c)
+                for a, b, c in zip(bounds, bounds[1:], self.choices.tolist())]
 
     @property
     def n(self) -> int:
-        return len(self.records)
+        return self.choices.size
 
     def __iter__(self):
         return iter(self.records)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.choices.size
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, OfflineDataset) and self.records == other.records
+        return isinstance(other, OfflineDataset) and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("offsets", "items", "choices"))
 
     def to_jsonl(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -48,20 +83,9 @@ class OfflineDataset:
 
     @classmethod
     def from_jsonl(cls, path) -> "OfflineDataset":
-        records = []
         with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataValidationError(
-                        f"{path} line {line_no}: invalid JSON: {exc.msg} (column {exc.colno})",
-                        record_index=len(records),
-                    ) from exc
-                records.append(_parse_record(row, path, line_no, len(records)))
-        return cls(records)
+            lines = ((line_no, line) for line_no, line in enumerate(fh, start=1) if line.strip())
+            return _read_records(path, lines, _json_record)
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -72,27 +96,96 @@ class OfflineDataset:
 
     @classmethod
     def from_csv(cls, path) -> "OfflineDataset":
-        records = []
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
-            for row in reader:
-                records.append(_parse_record(row, path, reader.line_num, len(records)))
-        return cls(records)
+            return _read_records(path, ((reader.line_num, row) for row in reader), _csv_record)
 
 
-def _parse_record(row, path, line_no: int, index: int) -> tuple[tuple[int, ...], int]:
-    """The (assortment, choice) pair of one file record, read from a JSON object
-    or a CSV row whose assortment is semicolon-joined ids."""
+def _csr(sets) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, items) of a sequence of id sequences or of a 2-D array, one set per row."""
+    if isinstance(sets, np.ndarray) and sets.ndim == 2:
+        rows = np.asarray(sets, dtype=np.int64)
+        return rows.shape[1] * np.arange(rows.shape[0] + 1), rows.ravel()
+    sets = list(sets)
+    offsets = np.concatenate(([0], np.cumsum([len(s) for s in sets], dtype=np.int64)))
+    return offsets, np.fromiter(chain.from_iterable(sets), dtype=np.int64, count=int(offsets[-1]))
+
+
+def _validated(offsets: np.ndarray, items: np.ndarray, n_items: int, choices=None):
+    """The record of each offered id, ``items`` sorted within each record (clipped to
+    0..n_items + 1), and the first bad record (or None): one offering an id outside
+    1..n_items or one id twice, or, given ``choices``, whose choice is neither 0 nor
+    offered."""
+    owner = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+    span = n_items + 2  # ids clipped to 0..n_items + 1 keep each record's keys apart
+    key = owner * span + np.clip(items, 0, n_items + 1)
+    if not np.all(key[1:] > key[:-1]):  # some record is out of order or repeats an id
+        key = np.sort(key)
+    ids = key - owner * span
+    bad = [owner[(ids < 1) | (ids > n_items)], owner[1:][key[1:] == key[:-1]]]
+    if choices is not None:
+        offered = np.zeros(choices.size, dtype=bool)
+        offered[owner[items == choices[owner]]] = True
+        bad.append(np.flatnonzero((choices != 0) & ~offered))
+    bad = np.concatenate(bad)
+    return owner, ids, int(bad.min()) if bad.size else None
+
+
+def _read_records(path, rows, parse) -> OfflineDataset:
+    """The dataset of the numbered file ``rows``, each parsed once by ``parse``."""
+    sets, choices = [], []
+    for line_no, row in rows:
+        try:
+            ids, choice = parse(row)
+            if not -2 ** 63 <= min([*ids, choice]) <= max([*ids, choice]) < 2 ** 63:
+                raise ValueError("malformed record: an id does not fit in 64 bits")
+        except ValueError as exc:
+            raise DataValidationError(f"{path} line {line_no}: {exc}",
+                                      record_index=len(choices)) from exc
+        sets.append(ids)
+        choices.append(choice)
+    return OfflineDataset.from_arrays(*_csr(sets), choices)
+
+
+def _fields(row: dict):
+    for key in ("assortment", "choice"):
+        if row.get(key) is None:
+            raise ValueError(f"record has no {key!r} field")
+    return row["assortment"], row["choice"]
+
+
+def _json_record(line: str) -> tuple[list[int], int]:
+    """A JSONL record: an object with a list of integer ids and an integer choice."""
     try:
-        items, choice = row["assortment"], row["choice"]
-        if isinstance(items, str):
-            items = items.split(";") if items.strip() else ()
-        return tuple(map(int, items)), int(choice)
-    except KeyError as exc:
-        message = f"record has no {exc} field"
-    except (TypeError, ValueError) as exc:
-        message = f"malformed record: {exc}"
-    raise DataValidationError(f"{path} line {line_no}: {message}", record_index=index)
+        row = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON: {exc.msg} (column {exc.colno})") from None
+    if not isinstance(row, dict):
+        raise ValueError("malformed record: not a JSON object")
+    items, choice = _fields(row)
+    if not isinstance(items, list):
+        raise ValueError(f"malformed record: assortment {items!r} is not a list")
+    ids = [*items, choice]
+    if set(map(type, ids)) != {int}:  # bool is an int subclass, so match exact types
+        ids = [_json_id(i) for i in ids]
+    return ids[:-1], ids[-1]
+
+
+def _json_id(value) -> int:
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise ValueError(f"malformed record: {value!r} is not an integer id")
+
+
+def _csv_record(row: dict) -> tuple[list[int], int]:
+    """A CSV record: semicolon-joined ids and a choice, one field per header column."""
+    if None in row:  # csv.DictReader files the fields beyond the header under None
+        raise ValueError(f"malformed record: {len(row[None])} field(s) beyond the header")
+    items, choice = _fields(row)
+    try:
+        return list(map(int, items.split(";"))) if items.strip() else [], int(choice)
+    except ValueError as exc:
+        raise ValueError(f"malformed record: {exc}") from None
 
 
 def load_dataset(path) -> OfflineDataset:
@@ -113,42 +206,28 @@ class RankBreakingCounts:
 
 
 def rank_breaking(dataset, n_items: int) -> RankBreakingCounts:
-    """Exact rank-breaking counts; validates every record."""
-    records = dataset.records if isinstance(dataset, OfflineDataset) else [
-        (tuple(s), int(c)) for s, c in dataset
-    ]
-    wins = np.zeros(n_items, dtype=np.int64)
-    duels = np.zeros(n_items, dtype=np.int64)
-    offered = np.zeros(n_items, dtype=np.int64)
+    """Exact rank-breaking counts; validates every record.
 
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for pos, (items, _) in enumerate(records):
-        groups.setdefault(items, []).append(pos)
-
-    for items, positions in groups.items():
+    Raises ``DataValidationError`` for the first record, in record order, that
+    offers an id outside 1..n_items or a repeated id, or whose choice is
+    neither 0 nor offered.
+    """
+    if not isinstance(dataset, OfflineDataset):
+        dataset = OfflineDataset(dataset)
+    offsets, items, choices = dataset.offsets, dataset.items, dataset.choices
+    owner, _, bad = _validated(offsets, items, n_items, choices)
+    if bad is not None:
+        record = tuple(items[offsets[bad]:offsets[bad + 1]].tolist())
         try:
-            canon = as_assortment(items, n_items)
-        except Exception as exc:
-            raise DataValidationError(
-                f"record {positions[0]}: invalid assortment {items}: {exc}",
-                record_index=positions[0],
-            ) from exc
-        allowed = {0, *canon}
-        choices = np.fromiter((records[p][1] for p in positions), dtype=np.int64)
-        bad = [c not in allowed for c in choices.tolist()]
-        if any(bad):
-            where = positions[bad.index(True)]
-            raise DataValidationError(
-                f"record {where}: choice {records[where][1]} outside S_+ of {canon}",
-                record_index=where,
-            )
-        counts = np.bincount(choices, minlength=n_items + 1)
-        zeros = int(counts[0])
-        for j in canon:
-            wins[j - 1] += int(counts[j])
-            duels[j - 1] += zeros + int(counts[j])
-            offered[j - 1] += len(positions)
-    return RankBreakingCounts(wins=wins, duels=duels, offered=offered, n=len(records))
+            message = f"choice {choices[bad]} outside S_+ of {as_assortment(record, n_items)}"
+        except InvalidAssortmentError as exc:
+            message = f"invalid assortment {record}: {exc}"
+        raise DataValidationError(f"record {bad}: {message}", record_index=bad)
+
+    wins = np.bincount(choices[choices > 0] - 1, minlength=n_items)
+    duels = np.bincount(items[choices[owner] == 0] - 1, minlength=n_items) + wins
+    offered = np.bincount(items - 1, minlength=n_items)
+    return RankBreakingCounts(wins=wins, duels=duels, offered=offered, n=dataset.n)
 
 
 @dataclass(frozen=True)

@@ -176,15 +176,21 @@ def nominal_expected_revenue(model: MnlModel, items) -> float:
     return float(math.fsum(model.attractions[i - 1] * model.revenues[i - 1] for i in items) / total)
 
 
-def _draw_choices(model: MnlModel, items: tuple[int, ...], size: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """``size`` inverse-CDF draws from the MNL conditional over canonical ``items``."""
-    support = np.array((0, *items), dtype=np.int64)
-    weights = np.concatenate(([V0], model.attractions[support[1:] - 1]))
-    drawn = np.searchsorted(np.cumsum(weights / weights.sum()), rng.random(size), side="right")
-    return support[np.minimum(drawn, support.size - 1)]  # the rounded CDF can end below 1
+def _draw_choices(model: MnlModel, rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws from the MNL conditionals over the canonical assortments in
+    the rows of the (m, k) int array ``rows``: row i turns ``uniforms[i]`` into a choice."""
+    m, k = rows.shape
+    support = np.zeros((m, k + 1), dtype=np.int64)  # no purchase first
+    support[:, 1:] = rows
+    weights = np.concatenate(([V0], model.attractions))[support]
+    # each row's sum and cumsum round as on that row alone, so batching leaves draws unchanged
+    cdf = np.cumsum(weights / weights.sum(axis=1, keepdims=True), axis=1)
+    drawn = (cdf <= uniforms[:, None]).sum(axis=1)  # searchsorted(cdf, u, side="right")
+    # the rounded CDF can end below 1, so a draw may land past its last entry
+    return support[np.arange(m), np.minimum(drawn, k)]
 
 
 def sample_choice(model: MnlModel, items, rng: np.random.Generator) -> int:
     """Draw one choice from the MNL conditional distribution; 0 means no purchase."""
-    return int(_draw_choices(model, as_assortment(items, model.n_items), 1, rng)[0])
+    row = np.array([as_assortment(items, model.n_items)], dtype=np.int64)
+    return int(_draw_choices(model, row, rng.random(1))[0])

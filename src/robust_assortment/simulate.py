@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from .base import RobustAssortmentError
-from .estimation import OfflineDataset
+from .estimation import OfflineDataset, _csr, _validated
 from .model import MnlModel, _draw_choices, as_assortment, nominal_expected_revenue
 from .robust import _tilt_to_kl, kl_divergence
 
@@ -19,19 +19,43 @@ _TILT_SPAN, _REACH_MARGIN = 600.0, 1e-12
 def generate_dataset(model: MnlModel, schedule, rng: np.random.Generator) -> OfflineDataset:
     """Sample one choice per scheduled assortment from the nominal model.
 
-    Records are grouped by distinct assortment (in first-appearance order)
-    and each group's choices are drawn in one vectorized pass, so the output
-    is reproducible from the generator state and fast for long schedules.
+    ``schedule`` is a sequence of assortments or a 2-D int array with one per
+    row; each record keeps its assortment sorted.  One ``rng.random(n)`` call
+    is laid out group-major: the records of each distinct assortment take
+    consecutive draws in record order, and the assortments follow in order of
+    first appearance, so the output is reproducible from the generator state.
     """
-    plan = [as_assortment(s, model.n_items) for s in schedule]
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for pos, items in enumerate(plan):
-        groups.setdefault(items, []).append(pos)
+    offsets, given = _csr(schedule)
+    _, items, bad = _validated(offsets, given, model.n_items)
+    if bad is not None:  # as_assortment raises the first bad record's error
+        as_assortment(given[offsets[bad]:offsets[bad + 1]].tolist(), model.n_items)
+    n, sizes, batches = offsets.size - 1, np.diff(offsets), []
+    first = np.empty(n, dtype=np.int64)  # each record's first record of the same set
+    for k in np.unique(sizes).tolist():
+        rec = np.flatnonzero(sizes == k)
+        sets = items[offsets[rec] + np.arange(k)[:, None]]  # column j: record rec[j]'s set
+        first[rec] = _first_appearance(rec, sets)
+        batches.append((rec, sets))
+    uniforms = np.empty(n)
+    uniforms[np.argsort(first, kind="stable")] = rng.random(n)
+    choices = np.empty(n, dtype=np.int64)
+    for rec, sets in batches:
+        choices[rec] = _draw_choices(model, sets.T, uniforms[rec])
+    return OfflineDataset.from_arrays(offsets, items, choices)
 
-    choices = np.zeros(len(plan), dtype=np.int64)
-    for items, positions in groups.items():
-        choices[np.array(positions)] = _draw_choices(model, items, len(positions), rng)
-    return OfflineDataset([(plan[i], int(choices[i])) for i in range(len(plan))])
+
+def _first_appearance(rec: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """For records ``rec`` (ascending) whose sorted sets are the columns of the (k, m)
+    matrix ``sets``, the first of them with the same set."""
+    # lexsort is stable and takes its last key as primary: sets in lexicographic order,
+    # equal sets in record order
+    order = np.lexsort(sets[::-1]) if len(sets) else np.arange(rec.size)
+    ordered = sets[:, order]
+    starts = np.ones(rec.size, dtype=bool)
+    starts[1:] = np.any(ordered[:, 1:] != ordered[:, :-1], axis=0)
+    first = np.empty_like(rec)
+    first[order] = rec[order][starts][np.cumsum(starts) - 1]
+    return first
 
 
 def instance_sample_efficiency() -> tuple[MnlModel, callable]:
@@ -41,24 +65,22 @@ def instance_sample_efficiency() -> tuple[MnlModel, callable]:
     and revenues are uniform, so the optimal robust assortment is the boosted
     triple under either radius rule.  The schedule factory replaces one
     uniformly chosen optimal item with a uniformly chosen outside item,
-    independently per record, so the optimum never appears whole.
+    independently per record, so the optimum never appears whole; its
+    ``(n, rng)`` call returns the n sorted assortments as an (n, 3) int64 array.
     """
     n_items, k, eps = 15, 3, 0.01
     v = np.full(n_items, 1.0 / k)
     v[:k] += eps
     model = MnlModel(attractions=v, revenues=np.ones(n_items), r_max=1.0)
-    star = tuple(range(1, k + 1))
+    star = np.arange(1, k + 1)
     outside = np.arange(k + 1, n_items + 1)
 
-    def schedule_factory(n: int, rng: np.random.Generator) -> list[tuple[int, ...]]:
+    def schedule_factory(n: int, rng: np.random.Generator) -> np.ndarray:
         drop = rng.integers(0, k, size=n)
         sub = outside[rng.integers(0, outside.size, size=n)]
-        out = []
-        for d, s in zip(drop.tolist(), sub.tolist()):
-            kept = [item for j, item in enumerate(star) if j != d]
-            kept.append(int(s))
-            out.append(tuple(sorted(kept)))
-        return out
+        rows = np.tile(star, (n, 1))
+        rows[np.arange(n), drop] = sub
+        return np.sort(rows, axis=1)
 
     return model, schedule_factory
 
@@ -90,10 +112,8 @@ def instance_cardinality(k: int, n_effect: int, uniform: bool,
     model = MnlModel(attractions=v, revenues=r, r_max=1.0)
 
     block = tuple(range(4 * k + 2, 5 * k + 1))
-    schedule = []
-    for rec in range(1, 4 * k * n_effect + 1):
-        rotating = math.ceil(rec / n_effect)
-        schedule.append(tuple(sorted((rotating, *block))))
+    # record r shows item ceil(r / n_effect), which sorts before every block item
+    schedule = [(item, *block) for item in range(1, 4 * k + 1) for _ in range(n_effect)]
     return model, schedule
 
 

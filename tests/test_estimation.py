@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robust_assortment import (
     DataValidationError,
@@ -42,6 +44,111 @@ def test_rank_breaking_no_purchase_counts_both():
 def test_rank_breaking_validates_choice():
     with pytest.raises(DataValidationError) as err:
         rank_breaking(OfflineDataset([((1, 2), 1), ((1, 2), 3)]), 3)
+    assert err.value.record_index == 1
+
+
+def _reference_counts(records, n_items):
+    """Rank-breaking counts walked one record and one offered item at a time."""
+    wins, duels, offered = ([0] * n_items for _ in range(3))
+    for items, choice in records:
+        for j in items:
+            offered[j - 1] += 1
+            duels[j - 1] += choice in (0, j)
+        if choice:
+            wins[choice - 1] += 1
+    return wins, duels, offered
+
+
+@st.composite
+def _records(draw):
+    """Unsorted sets drawn from a small pool (so sets repeat), empty sets included,
+    each with a choice from its S_+."""
+    n_items = draw(st.integers(1, 60))
+    pool = draw(st.lists(st.lists(st.integers(1, n_items), unique=True, max_size=n_items),
+                         min_size=1, max_size=8))
+    picks = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.integers(0, 60)),
+                          max_size=60))
+    return n_items, [(pool[i], [0, *pool[i]][c % (len(pool[i]) + 1)]) for i, c in picks]
+
+
+@given(_records())
+@settings(max_examples=200, deadline=None)
+def test_rank_breaking_matches_per_record_counts(case):
+    n_items, records = case
+    counts = rank_breaking(OfflineDataset(records), n_items)
+    wins, duels, offered = _reference_counts(records, n_items)
+    assert counts.wins.tolist() == wins
+    assert counts.duels.tolist() == duels
+    assert counts.offered.tolist() == offered
+    assert counts.n == len(records)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (((1, 4), 1), r"record 2: invalid assortment \(1, 4\): item 4 outside 1..3"),
+    (((0, 1), 1), r"record 2: invalid assortment \(0, 1\): item 0 outside 1..3"),
+    (((2, 1, 2), 0), r"record 2: invalid assortment \(2, 1, 2\): duplicate items"),
+    (((2, 1), 3), r"record 2: choice 3 outside S_\+ of \(1, 2\)"),
+])
+def test_rank_breaking_reports_first_bad_record(bad, message):
+    # later records hold each kind of fault, one of them in a set first seen at record 0
+    records = [((1, 2), 1), ((3,), 0), bad, ((1, 2), 3), ((9, 1), 0), ((3, 3), 3)]
+    with pytest.raises(DataValidationError, match=message) as err:
+        rank_breaking(OfflineDataset(records), 3)
+    assert err.value.record_index == 2
+
+
+def test_dataset_from_arrays():
+    ds = OfflineDataset.from_arrays([0, 2, 2, 3], [2, 1, 3], [1, 0, 0])
+    assert ds.records == [((2, 1), 1), ((), 0), ((3,), 0)]
+    assert ds == OfflineDataset(ds.records) and len(ds) == ds.n == 3
+    assert ds.items.dtype == np.int64 and not ds.items.flags.writeable
+    with pytest.raises(DataValidationError, match="offsets"):
+        OfflineDataset.from_arrays([0, 2], [1], [1])
+    for items in ([1.5], np.array([2 ** 63], dtype=np.uint64)):
+        with pytest.raises(DataValidationError, match="items"):
+            OfflineDataset.from_arrays([0, 1], items, [0])
+
+
+def test_dataset_files_keep_record_order(tmp_path):
+    ds = OfflineDataset([((2, 1), 1), ((), 0), ((3,), 0)])
+    ds.to_jsonl(tmp_path / "d.jsonl")
+    assert (tmp_path / "d.jsonl").read_text() == (
+        '{"assortment": [2, 1], "choice": 1}\n{"assortment": [], "choice": 0}\n'
+        '{"assortment": [3], "choice": 0}\n')
+    ds.to_csv(tmp_path / "d.csv")
+    assert (tmp_path / "d.csv").read_bytes() == b"assortment,choice\r\n2;1,1\r\n,0\r\n3,0\r\n"
+    assert load_dataset(tmp_path / "d.jsonl") == ds == load_dataset(tmp_path / "d.csv")
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"assortment": [1, true], "choice": 1}', "True is not an integer id"),
+    ('{"assortment": [1], "choice": true}', "True is not an integer id"),
+    ('{"assortment": [1.7], "choice": 0}', "1.7 is not an integer id"),
+    ('{"assortment": [1], "choice": "1"}', "'1' is not an integer id"),
+    ('{"assortment": "12", "choice": 0}', "assortment '12' is not a list"),
+    ('[[1], 1]', "not a JSON object"),
+    ('{"assortment": [1, 9223372036854775808], "choice": 0}', "an id does not fit in 64 bits"),
+])
+def test_jsonl_refuses_non_integer_ids(tmp_path, line, message):
+    path = tmp_path / "d.jsonl"
+    path.write_text('{"assortment": [2.0], "choice": 0}\n' + line + "\n")
+    with pytest.raises(DataValidationError, match=f"line 2: malformed record: {message}") as err:
+        load_dataset(path)
+    assert err.value.record_index == 1
+    path.write_text('{"assortment": [2.0], "choice": 0}\n')
+    assert load_dataset(path).records == [((2,), 0)]
+
+
+@pytest.mark.parametrize("row, message", [
+    ("1;2", "record has no 'choice' field"),
+    ("1;2,0,5", "malformed record: 1 field\\(s\\) beyond the header"),
+    ("1,-9223372036854775809", "malformed record: an id does not fit in 64 bits"),
+])
+def test_csv_rows_must_fit_the_header(tmp_path, row, message):
+    path = tmp_path / "d.csv"
+    path.write_text(f"assortment,choice\n3,3\n{row}\n")
+    with pytest.raises(DataValidationError, match=f"line 3: {message}") as err:
+        load_dataset(path)
     assert err.value.record_index == 1
 
 

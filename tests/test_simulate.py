@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from robust_assortment import (
     ConstantRadius,
+    InvalidAssortmentError,
     MnlModel,
     RobustAssortmentError,
     choice_probabilities,
@@ -46,6 +47,21 @@ def test_instance_sample_efficiency_schedule_properties(rng):
     assert abs(member_rate - 2 / 3) <= 4 * sigma
     outsiders = [tuple(sorted(set(s) - star)) for s in schedule]
     assert all(len(o) == 1 and 4 <= o[0] <= 15 for o in outsiders)
+
+
+def test_instance_sample_efficiency_schedule_rows(rng):
+    _, factory = instance_sample_efficiency()
+    ref = np.random.default_rng()
+    ref.bit_generator.state = rng.bit_generator.state
+    rows = factory(500, rng)
+    assert rows.dtype == np.int64 and rows.shape == (500, 3)
+    # the per-record form: drop one of the optimal items, add the outsider, sort
+    drop = ref.integers(0, 3, size=500)
+    sub = np.arange(4, 16)[ref.integers(0, 12, size=500)]
+    expected = [tuple(sorted([i for j, i in enumerate((1, 2, 3)) if j != d] + [s]))
+                for d, s in zip(drop.tolist(), sub.tolist())]
+    assert [tuple(row) for row in rows.tolist()] == expected
+    assert ref.bit_generator.state == rng.bit_generator.state
 
 
 def test_instance_cardinality_values():
@@ -93,6 +109,79 @@ def test_generate_dataset_seed_determinism():
     a = generate_dataset(m, schedule, np.random.default_rng(42))
     b = generate_dataset(m, schedule, np.random.default_rng(42))
     assert a == b
+
+
+def _per_group_dataset(model, schedule, rng):
+    """Reference sampler: one rng.random call per distinct sorted assortment, in order
+    of first appearance, each drawing by searchsorted on that set's own CDF."""
+    plan = [tuple(sorted(int(i) for i in s)) for s in schedule]
+    groups = {}
+    for pos, items in enumerate(plan):
+        groups.setdefault(items, []).append(pos)
+    choices = [0] * len(plan)
+    for items, positions in groups.items():
+        support = np.array((0, *items))
+        weights = np.concatenate(([1.0], model.attractions[support[1:] - 1]))
+        cdf = np.cumsum(weights / weights.sum())
+        drawn = np.searchsorted(cdf, rng.random(len(positions)), side="right")
+        for pos, d in zip(positions, np.minimum(drawn, len(items)).tolist()):
+            choices[pos] = int(support[d])
+    return list(zip(plan, choices))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_generate_dataset_matches_per_group_sampler(data):
+    n_items = data.draw(st.integers(1, 60))
+    logs = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=n_items, max_size=n_items))
+    model = MnlModel(attractions=10.0 ** np.array(logs), revenues=np.ones(n_items))
+    as_array = data.draw(st.booleans())
+    size = data.draw(st.integers(1, n_items))
+    sets = st.lists(st.integers(1, n_items), unique=True,
+                    min_size=size if as_array else 1, max_size=size if as_array else n_items)
+    pool = data.draw(st.lists(sets, min_size=1, max_size=6))
+    schedule = [pool[i] for i in data.draw(st.lists(st.integers(0, len(pool) - 1),
+                                                    max_size=80))]
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    given_schedule = np.array(schedule, dtype=np.int64).reshape(-1, size) if as_array \
+        else schedule
+    assert generate_dataset(model, given_schedule, rng).records == \
+        _per_group_dataset(model, schedule, ref)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_generate_dataset_draws_at_cdf_knots():
+    # a uniform at a knot of its set's CDF, or one ulp below it, draws a different
+    # choice if the sampler's CDF differs from the set's own by one ulp either way
+    rng = np.random.default_rng(11)
+    model = MnlModel(attractions=10.0 ** rng.uniform(-4, 4, 60), revenues=np.ones(60))
+    schedule = [tuple(rng.choice(60, size=k, replace=False) + 1) for k in range(1, 61)]
+    knots = []
+    for s in schedule:
+        weights = np.concatenate(([1.0], model.attractions[np.sort(s) - 1]))
+        knot = np.cumsum(weights / weights.sum())[rng.integers(len(s) + 1)]
+        knots.append(np.nextafter(knot, 0.0) if rng.integers(2) else knot)
+
+    class Knots:  # distinct sets: one draw per set, in record order
+        def __init__(self):
+            self.draws = iter(knots)
+
+        def random(self, size=None):
+            return np.array([next(self.draws) for _ in range(size)])
+
+    assert generate_dataset(model, schedule, Knots()).records == \
+        _per_group_dataset(model, schedule, Knots())
+
+
+def test_generate_dataset_rejects_before_drawing(rng):
+    m = MnlModel(attractions=np.ones(3), revenues=np.ones(3))
+    state = rng.bit_generator.state
+    with pytest.raises(InvalidAssortmentError, match="item 4 outside 1..3"):
+        generate_dataset(m, [(1, 2), (3, 4), (2, 2)], rng)
+    with pytest.raises(InvalidAssortmentError, match="duplicate"):
+        generate_dataset(m, np.array([[1, 2], [2, 2], [3, 0]]), rng)
+    assert rng.bit_generator.state == state
 
 
 def test_perturb_prior_round_trip_and_bucket(rng):
