@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import chain
 
@@ -32,7 +33,16 @@ class OfflineDataset:
 
     def __init__(self, records):
         records = list(records)
-        self._store(*_csr([items for items, _ in records]), [choice for _, choice in records])
+        try:
+            self._store(*_csr([items for items, _ in records]), [choice for _, choice in records])
+        except (OverflowError, DataValidationError):
+            for index, (items, choice) in enumerate(records):
+                ids = [i for i in (*items, choice) if isinstance(i, numbers.Integral)]
+                if ids and not _fits_int64(ids):
+                    raise DataValidationError(
+                        f"record {index}: an id does not fit in 64 bits",
+                        record_index=index) from None
+            raise
 
     @classmethod
     def from_arrays(cls, offsets, items, choices) -> "OfflineDataset":
@@ -131,13 +141,17 @@ def _validated(offsets: np.ndarray, items: np.ndarray, n_items: int, choices=Non
     return owner, ids, int(bad.min()) if bad.size else None
 
 
+def _fits_int64(ids) -> bool:
+    return -2 ** 63 <= min(ids) <= max(ids) < 2 ** 63
+
+
 def _read_records(path, rows, parse) -> OfflineDataset:
     """The dataset of the numbered file ``rows``, each parsed once by ``parse``."""
     sets, choices = [], []
     for line_no, row in rows:
         try:
             ids, choice = parse(row)
-            if not -2 ** 63 <= min([*ids, choice]) <= max([*ids, choice]) < 2 ** 63:
+            if not _fits_int64([*ids, choice]):
                 raise ValueError("malformed record: an id does not fit in 64 bits")
         except ValueError as exc:
             raise DataValidationError(f"{path} line {line_no}: {exc}",

@@ -139,12 +139,6 @@ class ChoiceDistribution:
         object.__setattr__(self, "probs", p)
         object.__setattr__(self, "support", tuple(int(i) for i in self.support))
 
-    def prob_of(self, choice: int) -> float:
-        try:
-            return float(self.probs[self.support.index(choice)])
-        except ValueError:
-            return 0.0
-
     def to_dict(self) -> dict:
         return {"support": list(self.support), "probs": self.probs.tolist()}
 

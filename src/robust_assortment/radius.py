@@ -5,6 +5,8 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 from .base import RadiusInfeasibleError
 from .model import MnlModel, as_assortment
 
@@ -13,7 +15,8 @@ ZERO_RADIUS = 1e-12
 
 
 class _RadiusRule:
-    """What both rules share; each rule supplies ``radius_from_weight`` and ``is_zero``."""
+    """What both rules share; each rule supplies ``radius_from_weight`` (and its array
+    form ``radii_from_weights``) and ``is_zero``."""
 
     def radius(self, model: MnlModel, items) -> float:
         items = as_assortment(items, model.n_items)
@@ -47,6 +50,9 @@ class ConstantRadius(_RadiusRule):
 
     def radius_from_weight(self, weight_s: float) -> float:
         return self.rho
+
+    def radii_from_weights(self, weights: np.ndarray) -> np.ndarray:
+        return np.full(np.shape(weights), self.rho)
 
 
 def varying_radius_primary(rho0: float, weight_all: float, weight_s: float) -> float:
@@ -105,6 +111,15 @@ class VaryingRadius(_RadiusRule):
         if self.is_zero:
             return 0.0
         return varying_radius_conditional(self.rho0, self.weight_all, weight_s)
+
+    def radii_from_weights(self, weights: np.ndarray) -> np.ndarray:
+        """``radius_from_weight`` over an array of weights, equal to it within a few
+        ulps (numpy's log1p is not libm's)."""
+        if self.is_zero:
+            return np.zeros(np.shape(weights))
+        shrink = -math.expm1(-self.rho0) * self.weight_all / np.asarray(weights, dtype=float)
+        with np.errstate(divide="ignore"):
+            return np.where(shrink < 1.0, -np.log1p(-np.minimum(shrink, 1.0)), math.inf)
 
 
 RadiusSpec = Union[ConstantRadius, VaryingRadius]

@@ -152,6 +152,18 @@ def test_csv_rows_must_fit_the_header(tmp_path, row, message):
     assert err.value.record_index == 1
 
 
+@pytest.mark.parametrize("records", [
+    [((1,), 0), ((2 ** 63,), 0)],
+    [((1,), 0), ((1,), 2 ** 64)],
+    [((1,), 0), ((1, -2 ** 63 - 1), 0)],
+])
+def test_in_memory_ids_must_fit_in_64_bits(records):
+    for build in (OfflineDataset, lambda recs: rank_breaking(recs, 2)):
+        with pytest.raises(DataValidationError, match="record 1: an id does not fit") as err:
+            build(records)
+        assert err.value.record_index == 1
+
+
 def test_loaders_set_record_index_and_file_line(tmp_path):
     jsonl = tmp_path / "d.jsonl"
     jsonl.write_text('{"assortment": [1], "choice": 1}\n\n{"assortment": [2]}\n')

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robust_assortment import (
     ConstantRadius,
@@ -21,7 +23,20 @@ from robust_assortment import (
     robust_revenue,
 )
 
+from robust_assortment import planning
+from robust_assortment.planning import (
+    _CurveFamily,
+    _dedup_sorted,
+    _EvalCounter,
+    _min_level_slack,
+    _minimize_on,
+    _pair_crossings,
+    _sum_curves,
+)
+
 from conftest import random_model, random_spec
+
+TIED_REVENUES = (0.0, 0.25, 0.5, 1.0)
 
 
 def _curve(v, r, t, lam, shift):
@@ -292,3 +307,222 @@ def test_exact_planners_match_primal_oracle_on_ties_and_zero_revenues(inputs):
         items, value = _oracle_unconstrained(m, spec)
         assert exact.assortment == items
         assert abs(exact.value - value) <= 1e-9
+
+
+def _reference_min_level_slack(fam, t, k, counter, stop_below=None):
+    """Reference walk: every interval selects by lexsort and bounds by fsum in turn.
+    ``_min_level_slack`` must return what it returns, and count the same, bit for bit."""
+    idx = fam.active_items(t)
+    weight_full = 1.0 + float(fam.v[idx].sum())
+    cap_full = fam.cap(weight_full)
+    cap_empty = fam.cap(1.0)
+    if cap_empty is None:
+        return math.inf, (), False
+    lam_cap = cap_full if cap_full is not None else cap_empty
+
+    counter.n += 1
+    best_val = _sum_curves([], [], t, fam.shift, cap_empty)
+    best_items = ()
+    if stop_below is not None and best_val < stop_below:
+        return best_val, best_items, True
+
+    breakpoints = []
+    if idx.size > k:
+        breakpoints.append(_pair_crossings(fam.v[idx], fam.r[idx], t, fam.shift))
+    if fam.shift > 0.0 and idx.size > 0:
+        gaps = fam.r[idx] - t
+        breakpoints.append(gaps[gaps > 0.0] / fam.shift)
+    pts = np.concatenate(breakpoints) if breakpoints else np.empty(0)
+    pts = pts[(pts > 0.0) & (pts < lam_cap)]
+    grid = _dedup_sorted(np.sort(pts))
+    grid.append(lam_cap)
+
+    item_ids = idx + 1
+    prev = 0.0
+    for right in grid:
+        if right - prev < 1e-14:
+            prev = right
+            continue
+        mid = 0.5 * (prev + right)
+        gm = fam.curve_values(idx, t, mid)
+        counter.n += 1
+        order = np.lexsort((idx, gm))
+        chosen = [j for j in order if gm[j] < 0.0][:k]
+        candidates = [chosen]
+        if fam.varying and idx.size > k:
+            by_weight = np.lexsort((idx, -fam.v[idx]))
+            heavy = [j for j in by_weight if gm[j] < 0.0][:k]
+            if sorted(heavy) != sorted(chosen):
+                candidates.append(heavy)
+        for cand in candidates:
+            weight_s = 1.0 + float(fam.v[idx[cand]].sum()) if cand else 1.0
+            cap_s = fam.cap(weight_s)
+            if cap_s is None or cap_s < prev:
+                continue
+            hi = min(right, cap_s)
+            if hi <= prev and prev > 0.0:
+                continue
+            vs = fam.v[idx[cand]].tolist()
+            rs = fam.r[idx[cand]].tolist()
+            left_vals = [-v0 for v0 in vs] if prev == 0.0 else fam.curve_values(
+                idx[cand], t, prev).tolist()
+            counter.n += 1
+            lower_bound = _sum_curves([], [], t, fam.shift, hi) + math.fsum(left_vals)
+            if lower_bound >= best_val:
+                continue
+            _, val = _minimize_on(vs, rs, t, fam.shift, prev, hi, counter)
+            if val < best_val:
+                best_val = val
+                best_items = tuple(sorted(int(item_ids[j]) for j in cand))
+                if stop_below is not None and best_val < stop_below:
+                    return best_val, best_items, True
+        prev = right
+    return best_val, best_items, False
+
+
+@st.composite
+def planning_instances(draw, max_items=10):
+    """(model, spec, k): attractions 1e-4..1e4, zero and tied revenues, radii 1e-11..30."""
+    n = draw(st.integers(1, max_items))
+    v = 10.0 ** np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n)))
+    revenue = st.one_of(st.sampled_from(TIED_REVENUES), st.floats(0.0, 1.0))
+    r = np.array(draw(st.lists(revenue, min_size=n, max_size=n)))
+    model = MnlModel(attractions=v, revenues=r, r_max=1.0)
+    if draw(st.booleans()):
+        share = draw(st.floats(1e-6, 0.999))
+        spec = VaryingRadius(share * math.log1p(1.0 / model.v_tot), model.v_tot)
+    else:
+        spec = ConstantRadius(10.0 ** draw(st.floats(-11.0, math.log10(30.0))))
+    return model, spec, draw(st.integers(1, n))
+
+
+def _both_slack_walks(fam, t, k, stop_below):
+    """(bulk result, its counter, reference result, its counter), values as bit strings."""
+    runs = []
+    for walk in (_min_level_slack, _reference_min_level_slack):
+        counter = _EvalCounter()
+        value, items, achieved = walk(fam, t, k, counter, stop_below=stop_below)
+        runs.append(((value.hex(), items, achieved), counter.n))
+    return runs
+
+
+@settings(max_examples=300, deadline=None)
+@given(planning_instances(),
+       st.one_of(st.sampled_from(TIED_REVENUES), st.floats(0.0, 1.0)),
+       st.one_of(st.none(), st.just("target"), st.floats(-2.0, 2.0)))
+def test_bulk_screen_matches_the_reference_loop(case, level, stop_below):
+    model, spec, k = case
+    fam = _CurveFamily(model.attractions, model.revenues, model.r_max, spec)
+    if stop_below == "target":
+        stop_below = fam.target
+    bulk, reference = _both_slack_walks(fam, level, k, stop_below)
+    assert bulk == reference
+
+
+def test_bulk_screen_matches_the_reference_loop_across_blocks(monkeypatch):
+    rng = np.random.default_rng(515)
+    blocks = []
+    screen = planning._screen_block
+    monkeypatch.setattr(planning, "_screen_block", lambda *args: blocks.append(1) or screen(*args))
+    later_block_exits = 0
+    for trial in range(60):
+        model = random_model(rng, n_min=6, n_max=14, r_max=1.0)
+        spec = random_spec(rng, model, varying=bool(trial % 2))
+        fam = _CurveFamily(model.attractions, model.revenues, model.r_max, spec)
+        k = int(rng.integers(1, 4))
+        level = float(rng.uniform(0.0, 0.6))
+        for entries in (1, 3 * model.n_items, 1 << 14):
+            monkeypatch.setattr(planning, "_BLOCK_ENTRIES", entries)
+            for stop_below in (None, fam.target):
+                blocks.clear()
+                bulk, reference = _both_slack_walks(fam, level, k, stop_below)
+                assert bulk == reference
+                later_block_exits += bulk[0][2] and len(blocks) > 1
+    assert later_block_exits > 0
+
+
+def _duplicated_instance(rng, n_distinct, copies):
+    """Each item repeated ``copies`` times, so curve values tie exactly."""
+    v = np.repeat(10.0 ** rng.uniform(-1.0, 1.0, n_distinct), copies)
+    r = np.repeat(rng.uniform(0.0, 1.0, n_distinct), copies)
+    return MnlModel(attractions=v, revenues=r, r_max=1.0)
+
+
+def _check_screen(fam, t, k, lefts=None, rights=None):
+    """Selections equal the lexsort ones; each bound is below the exact fsum bound
+    of every candidate that passes its cap check; visits count those candidates."""
+    idx = fam.active_items(t)
+    if lefts is None:
+        lam_cap = fam.cap(1.0 + float(fam.v[idx].sum())) or fam.cap(1.0)
+        lefts, rights = planning._level_intervals(fam, idx, t, k, lam_cap)
+    by_weight = np.lexsort((idx, -fam.v[idx])) if fam.varying and idx.size > k else None
+    bound, visits, select, left_vals = planning._screen_block(
+        fam, idx, by_weight, t, k, lefts, rights)
+    for i, (prev, right) in enumerate(zip(lefts.tolist(), rights.tolist())):
+        if right - prev < 1e-14:
+            assert bound[i] == math.inf and visits[i] == 0
+            continue
+        gm = fam.curve_values(idx, t, 0.5 * (prev + right))
+        chosen = [j for j in np.lexsort((idx, gm)) if gm[j] < 0.0][:k]
+        expected = [chosen]
+        if by_weight is not None:
+            heavy = [j for j in by_weight if gm[j] < 0.0][:k]
+            if sorted(heavy) != sorted(chosen):
+                expected.append(heavy)
+        assert select(i) == [[int(j) for j in cand] for cand in expected]
+        exact = []
+        for cand in expected:
+            cap_s = fam.cap(1.0 + float(fam.v[idx[cand]].sum()) if cand else 1.0)
+            if cap_s is not None and cap_s > prev:
+                left = [-x for x in fam.v[idx[cand]]] if prev == 0.0 else fam.curve_values(
+                    idx[cand], t, prev)
+                assert np.array_equal(left_vals[i, cand], left)
+                exact.append(_sum_curves([], [], t, fam.shift, min(right, cap_s))
+                             + math.fsum(left))
+        if bound[i] != -math.inf:
+            assert visits[i] == 1 + len(exact)
+            assert bound[i] <= min(exact, default=math.inf)
+
+
+@settings(max_examples=200, deadline=None)
+@given(planning_instances(), st.one_of(st.sampled_from(TIED_REVENUES), st.floats(0.0, 1.0)))
+def test_screen_bounds_every_exact_bound(case, level):
+    model, spec, k = case
+    _check_screen(_CurveFamily(model.attractions, model.revenues, model.r_max, spec), level, k)
+
+
+@pytest.mark.parametrize("varying", [False, True])
+def test_screen_breaks_exact_ties_by_position(varying):
+    rng = np.random.default_rng(99)
+    for _ in range(6):
+        model = _duplicated_instance(rng, n_distinct=7, copies=3)
+        spec = random_spec(rng, model, varying=varying)
+        fam = _CurveFamily(model.attractions, model.revenues, model.r_max, spec)
+        for level in (0.0, 0.2):
+            _check_screen(fam, level, k=int(rng.integers(2, 6)))
+
+
+def test_screen_cap_checks_at_float_neighbours_of_the_cap():
+    # left ends a few ulps either side of the exact dual cap of the selected set
+    rng = np.random.default_rng(4242)
+    steps = np.arange(-4, 5) * np.finfo(float).eps
+    for _ in range(200):
+        n = 8
+        model = MnlModel(attractions=10.0 ** rng.uniform(-4.0, 4.0, n),
+                         revenues=rng.uniform(0.1, 1.0, n), r_max=1.0)
+        spec = VaryingRadius(float(rng.uniform(0.01, 0.99)) * math.log1p(1.0 / model.v_tot),
+                             model.v_tot)
+        fam = _CurveFamily(model.attractions, model.revenues, model.r_max, spec)
+        # at level 0 with k = n, every item is selected on every interval
+        cap = fam.cap(1.0 + float(fam.v.sum()))
+        lefts = cap * (1.0 + steps)
+        _check_screen(fam, 0.0, n, lefts, 2.0 * lefts)
+
+
+@settings(max_examples=80, deadline=None)
+@given(planning_instances(max_items=9), st.sampled_from((1e-3, 1e-5)))
+def test_plan_general_matches_bruteforce_at_extremes(case, eps):
+    model, spec, k = case
+    brute = plan_bruteforce(model, k, spec)
+    general = plan_general(model, k, spec, eps=eps)
+    assert brute.value - eps <= general.value <= brute.value + 1e-9
