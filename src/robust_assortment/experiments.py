@@ -229,6 +229,7 @@ def run_exp_robustness(cfg: ExperimentConfig) -> ResultTable:
 
     buckets = (("small", (0.0, 1.0)), ("large", (1.0, math.inf)))
     detail = []
+    group_stats = {}
     for bucket_name, bucket in buckets:
         models = []
         for sample in range(cfg.perturbations_per_bucket):
@@ -236,30 +237,29 @@ def run_exp_robustness(cfg: ExperimentConfig) -> ResultTable:
             shifted, kl = perturb_prior(model, bucket, sample_rng)
             models.append((sample, shifted, kl))
         for family, grid in grids.items():
-            gains, rel_gains, best_radii = shift_metrics(
+            gains, bases, best_radii = shift_metrics(
                 learned[family], [m for _, m, _ in models], grid
             )
-            for (sample, _, kl), gain, rel, rho_star in zip(
-                models, gains, rel_gains, best_radii
+            for (sample, _, kl), gain, base, rho_star in zip(
+                models, gains, bases, best_radii
             ):
+                rel = gain / base if base > 0.0 else math.nan
                 detail.append((sample, bucket_name, family, kl, gain, rel, rho_star))
+            # a ratio of means: near-zero bases cannot dominate it as they do a
+            # mean of per-draw ratios
+            base_total = float(bases.sum())
+            group_stats[family, bucket_name] = (
+                len(models), float(gains.mean()),
+                float(gains.sum()) / base_total if base_total > 0.0 else math.nan,
+                float(best_radii.mean()),
+            )
 
-    summary = []
-    for family in grids:
-        for bucket_name, _ in buckets:
-            rows = [r for r in detail if r[1] == bucket_name and r[2] == family]
-            gains = np.array([r[4] for r in rows])
-            rels = np.array([r[5] for r in rows])
-            radii = np.array([r[6] for r in rows])
-            summary.append((
-                family, bucket_name, len(rows), float(gains.mean()),
-                float(np.nanmean(rels)) if np.any(~np.isnan(rels)) else math.nan,
-                float(radii.mean()),
-            ))
+    summary = [(family, bucket_name, *group_stats[family, bucket_name])
+               for family in grids for bucket_name, _ in buckets]
     return ResultTable(
         detail_columns=("sample_id", "bucket", "family", "kl", "delta", "delta_rel", "rho_star"),
         detail_rows=detail,
-        summary_columns=("family", "bucket", "samples", "mean_delta", "mean_delta_rel",
+        summary_columns=("family", "bucket", "samples", "mean_delta", "delta_rel_of_means",
                          "mean_rho_star"),
         summary_rows=summary,
     )

@@ -1,14 +1,19 @@
 """Optimal robust assortment planning.
 
-The general planner runs an outer bisection on the revenue level ``t``.  For
-a fixed level, whether some assortment attains robust revenue >= t reduces to
-driving a sum of per-item level-slack curves below a target constant.  Curve
-pairs cross at most once for positive dual values, so between consecutive
-crossing abscissas the best-K selection is constant and the selected sum is
-quasi-convex, minimized by bisecting on its derivative sign.  Each level
-screens its intervals in bulk, a block at a time, against a conservative lower
-bound, and runs the exact scalar step only on the intervals the bound cannot
-rule out.
+The general planner searches the revenue level ``t``.  A level is feasible
+exactly when some assortment has robust revenue >= t, and every probed level
+yields a witness set whose own robust revenue certifies a level too: a
+feasible probe lifts the search to its witness's value (Dinkelbach's step) and
+checks just above it next, an infeasible one halves the bracket.  The plan is
+the best witness, so its certified level is its value.  At the zero radius a
+probe is the nominal top-k rule.  Otherwise, whether a level is feasible
+reduces to driving a sum of per-item level-slack curves below a target
+constant.  Curve pairs cross at most once for positive dual values, so
+between consecutive crossing abscissas the best-K selection is constant and
+the selected sum is quasi-convex, minimized by bisecting on its derivative
+sign.  Each level screens its intervals in bulk, a block at a time, against a
+conservative lower bound, and runs the exact scalar step only on the
+intervals the bound cannot rule out.
 """
 from __future__ import annotations
 
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MnlModel, nominal_expected_revenue
+from .model import MnlModel
 from .radius import RadiusSpec
 from .robust import robust_revenue, robust_values
 
@@ -37,7 +42,11 @@ _BRACKET = np.array([1.0 - 1e-12, 1.0 + 1e-12])
 
 @dataclass(frozen=True)
 class PlanResult:
-    """An (eps-)optimal assortment with its re-evaluated robust revenue."""
+    """An (eps-)optimal assortment and its robust revenue.
+
+    ``certified_level`` is the revenue level the assortment certifies; it
+    equals ``value`` for every planner here.
+    """
 
     assortment: tuple[int, ...]
     value: float
@@ -419,80 +428,58 @@ def evaluate_level_slack(model: MnlModel, k: int, spec: RadiusSpec, level: float
     return value, items
 
 
-def _plan_nominal(model: MnlModel, k: int, eps: float) -> PlanResult:
-    """Exact-feasibility bisection planner for the zero-radius (nominal) case."""
-    v, r = model.attractions, model.revenues
-    counter = 0
-
-    def best_set_at(t: float) -> tuple[tuple[int, ...], float]:
-        scores = v * (r - t)
-        pos = np.nonzero(scores > 0.0)[0]
-        take = pos[np.lexsort((pos, -scores[pos]))][:k]
-        return tuple(sorted(int(i) + 1 for i in take)), float(scores[take].sum())
-
-    t_lo, t_hi = 0.0, model.r_max
-    steps = max(1, math.ceil(math.log2(4.0 * model.r_max / eps)))
-    for _ in range(steps):
-        t_mid = 0.5 * (t_lo + t_hi)
-        counter += 1
-        _, gain = best_set_at(t_mid)
-        if gain >= t_mid:
-            t_lo = t_mid
-        else:
-            t_hi = t_mid
-    items, _ = best_set_at(t_lo)
-    value = nominal_expected_revenue(model, items)
-    if value <= 0.0:
-        items, value = (), 0.0
-    return PlanResult(assortment=items, value=value, certified_level=min(t_lo, value),
-                      evaluations=counter, best_effort=not eps < value / 2.0)
-
-
 def plan_general(model: MnlModel, k: int, spec: RadiusSpec, eps: float) -> PlanResult:
-    """eps-optimal robust assortment via level bisection against the slack target."""
+    """eps-optimal robust assortment by a witness-driven search over revenue levels.
+
+    A probe at level t returns whether t is feasible, whether its slack misses
+    the target by at most the inner tolerance ("near", which ends the search),
+    and a witness set.  The best witness seen is returned; ``certified_level``
+    is its value.  The search ends when the bracket is at most eps/2 wide.
+    """
     n = model.n_items
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in 1..{n}")
     if not eps > 0.0:
         raise ValueError("eps must be positive")
-    if spec.is_zero:
-        return _plan_nominal(model, k, eps)
 
-    fam = _CurveFamily(model.attractions, model.revenues, model.r_max, spec)
     counter = _EvalCounter()
-    cap_empty = fam.cap(1.0)
-    eps_inner = eps / (4.0 * cap_empty)
-    steps = max(1, math.ceil(math.log2(4.0 * model.r_max / eps)))
+    if spec.is_zero:
+        v, r = model.attractions, model.revenues
 
+        def probe(t: float):
+            counter.n += 1
+            scores = v * (r - t)
+            pos = np.nonzero(scores > 0.0)[0]
+            take = pos[np.lexsort((pos, -scores[pos]))][:k]
+            return float(scores[take].sum()) >= t, False, tuple(sorted(int(i) + 1 for i in take))
+    else:
+        fam = _CurveFamily(model.attractions, model.revenues, model.r_max, spec)
+        eps_inner = eps / (4.0 * fam.cap(1.0))
+
+        def probe(t: float):
+            slack, items, achieved = _min_level_slack(fam, t, k, counter, stop_below=fam.target)
+            return achieved, not achieved and slack <= fam.target + eps_inner, items
+
+    best_items, best_val = (), 0.0
     t_lo, t_hi = 0.0, model.r_max
-    t_mid = 0.0
-    for _ in range(steps):
-        t_mid = 0.5 * (t_lo + t_hi)
-        slack, _, achieved = _min_level_slack(fam, t_mid, k, counter, stop_below=fam.target)
-        if achieved:
-            t_lo = t_mid
-        elif slack > fam.target + eps_inner:
-            t_hi = t_mid
+    t = 0.5 * t_hi
+    while True:
+        feasible, near, items = probe(t)
+        if items and items != best_items:
+            val = robust_revenue(model, items, spec, allow_degenerate=True).value
+            if val > best_val:
+                best_items, best_val = items, val
+        if feasible:
+            t_lo = max(t, best_val)
         else:
+            t_hi = t
+        if near or t_hi <= t_lo + eps / 2.0:
             break
-
-    level = t_mid - eps / 2.0
-    items: tuple[int, ...] = ()
-    certified = 0.0
-    if level > 0.0:
-        slack, cand, achieved = _min_level_slack(fam, level, k, counter, stop_below=fam.target)
-        tol = 1e-12 * max(1.0, abs(fam.target))
-        witnessed = achieved or slack <= fam.target + tol
-        if cand and (witnessed or robust_revenue(
-                model, cand, spec, allow_degenerate=True).value > 0.0):
-            items = cand
-            certified = level if witnessed else 0.0
-
-    value = robust_revenue(model, items, spec, allow_degenerate=True).value if items else 0.0
-    if value <= 0.0:
-        items, value, certified = (), 0.0, 0.0
-    return PlanResult(assortment=items, value=value, certified_level=certified,
-                      evaluations=counter.n, best_effort=not eps < value / 2.0)
+        mid = 0.5 * (t_lo + t_hi)
+        # after a jump past t, test just above the new lower end
+        t = min(t_lo + eps / 2.0, mid) if t_lo > t else mid
+    return PlanResult(assortment=best_items, value=best_val, certified_level=best_val,
+                      evaluations=counter.n, best_effort=not eps < best_val / 2.0)
 
 
 def plan_unconstrained(model: MnlModel, spec: RadiusSpec) -> PlanResult:

@@ -177,14 +177,14 @@ def shift_metrics(assortments_by_rho: dict[float, tuple[int, ...]],
     """Robustness gains of radius-indexed assortments under shifted environments.
 
     For each perturbed model, evaluates the nominal expected revenue of every
-    learned assortment; the gain is the best improvement over the zero-radius
-    assortment, the relative gain divides by its revenue (NaN when that
-    revenue is zero), and the best radius is the smallest argmax.
+    learned assortment.  Returns per model the gain, the best improvement over
+    the zero-radius assortment; the base, that assortment's own revenue; and
+    the best radius, the smallest argmax.
     """
     grid = [float(r) for r in rho_grid]
     if 0.0 not in grid:
         raise ValueError("rho_grid must contain 0 (the non-robust anchor)")
-    gains, rel_gains, best_radii = [], [], []
+    gains, bases, best_radii = [], [], []
     for shifted in perturbed_models:
         revenue = {
             rho: nominal_expected_revenue(shifted, assortments_by_rho[rho]) for rho in grid
@@ -196,6 +196,6 @@ def shift_metrics(assortments_by_rho: dict[float, tuple[int, ...]],
                 best_rev, best_rho = revenue[rho], rho
         gain = best_rev - base
         gains.append(gain)
-        rel_gains.append(gain / base if base > 0.0 else math.nan)
+        bases.append(base)
         best_radii.append(best_rho)
-    return np.array(gains), np.array(rel_gains), np.array(best_radii)
+    return np.array(gains), np.array(bases), np.array(best_radii)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -98,6 +99,32 @@ def test_fig1_demo_robust_plan_has_better_worst_case():
     table = run_fig1_demo(default_config("fig1-demo", seed=1))
     worst_nominal, worst_robust, _ = table.summary_rows[0]
     assert worst_robust >= worst_nominal
+
+
+def test_exp2_relative_gain_is_a_ratio_of_means(monkeypatch):
+    # the zero-radius set is (1,) and the robust one (2,); item 1's shifted
+    # attraction sets the base, and one draw per bucket leaves it near 1e-12,
+    # where the mean of the per-draw ratios reads about 1e11
+    from robust_assortment import experiments
+    monkeypatch.setattr(experiments, "learn_robust_assortment",
+                        lambda dataset, n, cfg: ((1,) if cfg.spec.is_zero else (2,), None))
+    v1 = np.array([1e-12, 0.2, 0.4, 0.6])
+    draws = itertools.cycle(v1.tolist())
+    monkeypatch.setattr(experiments, "perturb_prior", lambda model, bucket, rng: (
+        MnlModel(attractions=np.array([next(draws), 3.0, 1.0]),
+                 revenues=np.array([1.0, 0.5, 0.2]), r_max=1.0), bucket[0]))
+    cfg = default_config("exp2", seed=4, n_items_exp2=3, n_dataset_exp2=200,
+                         perturbations_per_bucket=v1.size, rho_grid_exp2=(0.0, 0.5),
+                         rho0_grid_exp2=(0.0,))
+    table = run_exp_robustness(cfg)
+    bases = v1 / (1.0 + v1)
+    gains = np.maximum(0.375 - bases, 0.0)  # item 2 alone earns 0.5 * 3 / 4
+    for family, _, _, mean_gain, ratio, _ in table.summary_rows:
+        if family == "constant":
+            assert mean_gain == pytest.approx(gains.mean())
+            assert ratio < gains.max() / bases.mean()
+        else:  # the varying grid holds only the zero radius
+            assert ratio == 0.0
 
 
 def test_exp2_runs_at_its_default_catalogue_size():

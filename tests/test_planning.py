@@ -24,6 +24,7 @@ from robust_assortment import (
 )
 
 from robust_assortment import planning
+from robust_assortment.radius import ZERO_RADIUS
 from robust_assortment.planning import (
     _CurveFamily,
     _dedup_sorted,
@@ -381,14 +382,19 @@ def _reference_min_level_slack(fam, t, k, counter, stop_below=None):
 
 
 @st.composite
-def planning_instances(draw, max_items=10):
-    """(model, spec, k): attractions 1e-4..1e4, zero and tied revenues, radii 1e-11..30."""
+def planning_instances(draw, max_items=10, zero_radius=False):
+    """(model, spec, k): attractions 1e-4..1e4, zero and tied revenues, radii 1e-11..30;
+    with ``zero_radius``, also radii of 0 and below ZERO_RADIUS (the nominal path)."""
     n = draw(st.integers(1, max_items))
     v = 10.0 ** np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n)))
     revenue = st.one_of(st.sampled_from(TIED_REVENUES), st.floats(0.0, 1.0))
     r = np.array(draw(st.lists(revenue, min_size=n, max_size=n)))
     model = MnlModel(attractions=v, revenues=r, r_max=1.0)
-    if draw(st.booleans()):
+    tiny = st.floats(0.0, ZERO_RADIUS, exclude_max=True)
+    if zero_radius and draw(st.booleans()):
+        spec = draw(st.one_of(st.just(ConstantRadius(0.0)), st.builds(ConstantRadius, tiny),
+                              st.builds(VaryingRadius, tiny, st.just(model.v_tot))))
+    elif draw(st.booleans()):
         share = draw(st.floats(1e-6, 0.999))
         spec = VaryingRadius(share * math.log1p(1.0 / model.v_tot), model.v_tot)
     else:
@@ -520,9 +526,13 @@ def test_screen_cap_checks_at_float_neighbours_of_the_cap():
 
 
 @settings(max_examples=80, deadline=None)
-@given(planning_instances(max_items=9), st.sampled_from((1e-3, 1e-5)))
+@given(planning_instances(max_items=9, zero_radius=True), st.sampled_from((1e-3, 1e-5)))
 def test_plan_general_matches_bruteforce_at_extremes(case, eps):
     model, spec, k = case
     brute = plan_bruteforce(model, k, spec)
     general = plan_general(model, k, spec, eps=eps)
     assert brute.value - eps <= general.value <= brute.value + 1e-9
+    assert general.certified_level == general.value
+    assert general.value == (robust_revenue(model, general.assortment, spec,
+                                            allow_degenerate=True).value
+                             if general.assortment else 0.0)

@@ -268,7 +268,8 @@ def test_shift_metrics_trivial_grid(rng):
     m = MnlModel(attractions=np.array([1.0, 0.7]), revenues=np.array([1.0, 0.5]), r_max=1.0)
     assortments = {0.0: (1, 2)}
     shifted = [perturb_prior(m, (0.0, 1.0), rng)[0] for _ in range(20)]
-    gains, rels, radii = shift_metrics(assortments, shifted, [0.0])
+    gains, bases, radii = shift_metrics(assortments, shifted, [0.0])
+    rels = gains / bases
     assert np.all(gains == 0.0)
     assert np.all(radii == 0.0)
     assert np.all(rels[~np.isnan(rels)] == 0.0)
