@@ -8,15 +8,19 @@ checks just above it next, an infeasible one halves the bracket.  The plan is
 the best witness, so its certified level is its value.  At the zero radius a
 probe is the nominal top-k rule.  Otherwise, whether a level is feasible
 reduces to driving a sum of per-item level-slack curves below a target
-constant.  Curve pairs cross at most once for positive dual values, so
-between consecutive crossing abscissas the best-K selection is constant and
-the selected sum is quasi-convex, minimized by bisecting on its derivative
-sign.  Each level screens its intervals in bulk, a block at a time, against a
-conservative lower bound, and runs the exact scalar step only on the
-intervals the bound cannot rule out.
+constant.  Curve pairs cross at most once for positive dual values; each
+crossing is bracketed, then found by a monotone Newton iteration in 1/lam.
+Between consecutive crossing abscissas the best-K selection is constant, and
+it changes only where a swap crosses the K-th place, so consecutive intervals
+that select the same candidates form a run.  A fixed set's curve sum is
+quasi-convex on all lam > 0, so one exact step per run, bisecting on the
+derivative sign over the whole run, finds its minimum there.  Each level
+screens its runs in bulk, a block at a time, against a conservative lower
+bound, and runs the exact step only on the runs the bound cannot rule out.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,7 +32,7 @@ from .radius import RadiusSpec
 from .robust import robust_revenue, robust_values
 
 _EXP_CAP = 700.0  # exp argument clip; saturated values are never minimizers
-# Curve values per bulk block of intervals.  A level has up to m^2/2
+# Curve values per bulk block of intervals or runs.  A level has up to m^2/2
 # intervals; blocks keep its scratch arrays at tens of kB.  Blocks of 2^14
 # entries ran no faster and raised the peak RSS of the plan bench by 3.5%.
 _BLOCK_ENTRIES = 1 << 12
@@ -45,7 +49,11 @@ class PlanResult:
     """An (eps-)optimal assortment and its robust revenue.
 
     ``certified_level`` is the revenue level the assortment certifies; it
-    equals ``value`` for every planner here.
+    equals ``value`` for every planner here.  ``evaluations`` counts the
+    planner's work: scored sets for the exact planners; for the general one,
+    one per probed level, and at a nonzero radius also one per crossing
+    interval's selection, one per exact bound of a run's candidate and one
+    per curve-sum or slope evaluation of the exact steps.
     """
 
     assortment: tuple[int, ...]
@@ -180,18 +188,37 @@ def _minimize_on(vs, rs, t, shift, lo, hi, counter: _EvalCounter):
     return lam, _sum_curves(vs, rs, t, shift, lam)
 
 
-@np.errstate(divide="ignore", invalid="ignore")  # brackets of subnormal gaps halve to 0
+@functools.lru_cache(maxsize=16)
+def _pair_index(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only index arrays (i, j) of the pairs i < j among m curves."""
+    pairs = np.triu_indices(m, k=1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
+# brackets of subnormal gaps halve to 0, and a/lam overflows at subnormal lam
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _pair_crossings(v: np.ndarray, r: np.ndarray, t: float, shift: float) -> np.ndarray:
     """Positive crossing abscissas among the active curves, one per pair at most.
 
-    The crossing equation reduces to driving a rise-then-fall (or monotone)
-    function through a fixed level from below, so each root is bracketed and
-    bisected; the whole pair population is processed vectorized.
+    With u = 1/lam and revenue gaps a = ar - t, b = br - t, the more attractive
+    curve (av, ar) meets (bv, br) where psi(u) = av*exp(-a*u) - tail(u)
+    vanishes, with tail(u) = bv*exp(-b*u) + (av - bv)*exp(-shift).  A pair has
+    a root when psi is negative as lam -> 0 (psi0) and positive at its peak or
+    as lam -> inf (psi_inf).  The root is bracketed by doubling and halving
+    lam, then found by Newton's method in u on h(u) = -a*u - log(tail(u) / av),
+    which has psi's sign and is concave in u: started at the bracket's
+    small-lam end, where h < 0, it falls monotonically onto the root.  The
+    iterate is kept as lam, so a subnormal lam cannot overflow u.
+    log(tail / av) is taken as log1p of tail / av - 1, a sum of terms <= 0
+    built from expm1, unless that sum is below -1/2, so no regime loses h to
+    cancellation.  The whole pair population is processed vectorized.
     """
     m = v.size
     if m < 2:
         return np.empty(0)
-    iu, ju = np.triu_indices(m, k=1)
+    iu, ju = _pair_index(m)
     vi, vj = v[iu], v[ju]
     ri, rj = r[iu], r[ju]
     swap = vj > vi
@@ -205,57 +232,67 @@ def _pair_crossings(v: np.ndarray, r: np.ndarray, t: float, shift: float) -> np.
     if av.size == 0:
         return np.empty(0)
     cs = (av - bv) * math.exp(-shift)
+    offset = (av - bv) * math.expm1(-shift)  # cs - (av - bv)
+    a, b = ar - t, br - t
 
-    def psi(lam):
-        return av * np.exp((t - ar) / lam) - bv * np.exp((t - br) / lam) - cs
+    def h(lam):
+        """h and u * h'(u) at u = 1/lam, exponents formed as a/lam so that
+        subnormal lam does not overflow u."""
+        ua, ub = a / lam, b / lam
+        near = bv * np.exp(-ub)
+        tail = near + cs
+        shortfall = (bv * np.expm1(-ub) + offset) / av  # tail / av - 1
+        log_share = np.where(shortfall > -0.5, np.log1p(shortfall), np.log(tail / av))
+        return -ua - log_share, ub * near / tail - ua
 
     psi0 = np.where(ar == t, av, 0.0) - np.where(br == t, bv, 0.0) - cs
-    psi_inf = (av - bv) * (-math.expm1(-shift))
-    big_a = av * (ar - t)
-    big_b = bv * (br - t)
+    psi_inf = -offset
+    big_a = av * a
+    big_b = bv * b
     log_ratio = np.log(big_b) - np.log(big_a)
     lam_crit = (br - ar) / log_ratio
     has_crit = (big_a > 0) & (big_b > 0) & (ar != br) & (lam_crit > 0) & np.isfinite(lam_crit)
     peak_val = np.full(av.shape, -np.inf)
     if np.any(has_crit):
         lc = np.where(has_crit, lam_crit, 1.0)
-        peak_val = np.where(has_crit & (ar < br), psi(lc), -np.inf)
+        peak_val = np.where(has_crit & (ar < br), h(lc)[0], -np.inf)
 
     has_root = (psi0 < 0.0) & ((peak_val > 0.0) | (psi_inf > 0.0))
     if not np.any(has_root):
         return np.empty(0)
-    av, ar, bv, br, cs = av[has_root], ar[has_root], bv[has_root], br[has_root], cs[has_root]
-    start = np.where(
-        has_crit[has_root], np.where(has_crit, lam_crit, 1.0)[has_root],
-        np.maximum(ar - t, br - t),
-    )
+    av, a, bv, b, cs, offset = (
+        av[has_root], a[has_root], bv[has_root], b[has_root], cs[has_root], offset[has_root])
+    start = np.where(has_crit[has_root], np.where(has_crit, lam_crit, 1.0)[has_root],
+                     np.maximum(a, b))
 
     hi = start.copy()
-    for _ in range(300):
-        low_side = psi(hi) <= 0.0
+    for _ in range(2100):  # enough doublings or halvings to cross the float range
+        low_side = h(hi)[0] <= 0.0
         if not np.any(low_side):
             break
         hi[low_side] *= 2.0
-    bracketed = psi(hi) > 0.0
-    av, ar, bv, br, cs, hi = (
-        av[bracketed], ar[bracketed], bv[bracketed], br[bracketed], cs[bracketed], hi[bracketed],
+    bracketed = h(hi)[0] > 0.0
+    av, a, bv, b, cs, offset, hi = (
+        av[bracketed], a[bracketed], bv[bracketed], b[bracketed], cs[bracketed],
+        offset[bracketed], hi[bracketed],
     )
     if av.size == 0:
         return np.empty(0)
     lo = hi.copy()
-    for _ in range(300):
-        high_side = psi(lo) >= 0.0
+    for _ in range(2100):
+        high_side = h(lo)[0] >= 0.0
         if not np.any(high_side):
             break
         lo[high_side] *= 0.5
-    for _ in range(110):
-        mid = 0.5 * (lo + hi)
-        pos = psi(mid) >= 0.0
-        hi = np.where(pos, mid, hi)
-        lo = np.where(pos, lo, mid)
-        if np.all(hi - lo <= 1e-15 * hi):
+    lam = lo
+    for _ in range(100):
+        value, slope = h(lam)
+        step = value / slope  # the Newton step h / h'(u) >= 0 in units of u
+        moving = step > 4e-16
+        if not np.any(moving):
             break
-    return np.sort(0.5 * (lo + hi))
+        lam = np.where(moving, lam / (1.0 - step), lam)  # u falls to u * (1 - step)
+    return np.sort(lam[lam > 0.0])  # lo halves to 0 below the least subnormal
 
 
 def _dedup_sorted(xs: np.ndarray, rel: float = 1e-12) -> list[float]:
@@ -284,7 +321,7 @@ def _min_level_slack(fam: _CurveFamily, t: float, k: int, counter: _EvalCounter,
     Returns (value, items_1based, achieved) where ``achieved`` reports an early
     exit because a candidate dipped below ``stop_below``.  The reported value
     is always attained by the reported candidate, so it upper-bounds the true
-    minimum; pruned intervals are provably no better than the result.
+    minimum; pruned runs are provably no better than the result.
     """
     idx = fam.active_items(t)
     weight_full = 1.0 + float(fam.v[idx].sum())
@@ -301,26 +338,26 @@ def _min_level_slack(fam: _CurveFamily, t: float, k: int, counter: _EvalCounter,
         return best_val, best_items, True
 
     lefts, rights = _level_intervals(fam, idx, t, k, lam_cap)
-    by_weight = np.lexsort((idx, -fam.v[idx])) if fam.varying and idx.size > k else None
+    counter.n += rights.size  # one selection per interval
+    edges, sets = _level_runs(fam, idx, t, k, lefts, rights)
+    run_lefts, run_rights = lefts[edges[:-1]], rights[edges[1:] - 1]
     rows = max(1, _BLOCK_ENTRIES // max(1, idx.size))
-    for start in range(0, rights.size, rows):
+    for start in range(0, run_lefts.size, rows):
         block = slice(start, start + rows)
-        bound, visits, select, left_vals = _screen_block(
-            fam, idx, by_weight, t, k, lefts[block], rights[block])
-        # only an interval whose bound undercuts the running best can change
-        # it; every other one adds to the counter what its exact step would
-        visits_before = np.concatenate(([0], np.cumsum(visits))).tolist()
+        block_sets = [(members[block], present[block]) for members, present in sets]
+        bound, left_vals = _screen_runs(fam, idx, t, run_lefts[block], run_rights[block],
+                                        block_sets)
+        # only a run whose bound undercuts the running best can change it
         low = bound.tolist()
-        done = 0
         for i in np.flatnonzero(bound < best_val).tolist():
             if low[i] >= best_val:  # the best has dropped below it since
                 continue
-            counter.n += visits_before[i] - visits_before[done] + 1  # + 1: the selection
-            done = i + 1
-            prev, right = float(lefts[start + i]), float(rights[start + i])
-            for cand in select(i):
-                weight_s = 1.0 + float(fam.v[idx[cand]].sum()) if cand else 1.0
-                cap_s = fam.cap(weight_s)
+            prev, right = float(run_lefts[start + i]), float(run_rights[start + i])
+            for members, present in block_sets:
+                if not present[i]:
+                    continue
+                cand = np.flatnonzero(members[i])
+                cap_s = fam.cap(1.0 + float(fam.v[idx[cand]].sum()))
                 if cap_s is None or cap_s < prev:
                     continue
                 hi = min(right, cap_s)
@@ -336,16 +373,16 @@ def _min_level_slack(fam: _CurveFamily, t: float, k: int, counter: _EvalCounter,
                 _, val = _minimize_on(vs, rs, t, fam.shift, prev, hi, counter)
                 if val < best_val:
                     best_val = val
-                    best_items = tuple(sorted(int(idx[j]) + 1 for j in cand))
+                    best_items = tuple((idx[cand] + 1).tolist())
                     if stop_below is not None and best_val < stop_below:
                         return best_val, best_items, True
-        counter.n += visits_before[-1] - visits_before[done]
     return best_val, best_items, False
 
 
 def _level_intervals(fam: _CurveFamily, idx: np.ndarray, t: float, k: int, lam_cap: float):
     """(lefts, rights) of the intervals of (0, lam_cap] between the crossings and,
-    for a constant radius, the points (r - t) / rho where a curve changes sign."""
+    for a constant radius, the points (r - t) / rho where a curve changes sign.
+    Intervals shorter than 1e-14 are left out."""
     breakpoints: list[np.ndarray] = []
     if idx.size > k:
         breakpoints.append(_pair_crossings(fam.v[idx], fam.r[idx], t, fam.shift))
@@ -355,42 +392,66 @@ def _level_intervals(fam: _CurveFamily, idx: np.ndarray, t: float, k: int, lam_c
     pts = np.concatenate(breakpoints) if breakpoints else np.empty(0)
     pts = pts[(pts > 0.0) & (pts < lam_cap)]
     rights = np.array(_dedup_sorted(np.sort(pts)) + [lam_cap])
-    return np.concatenate(([0.0], rights[:-1])), rights
+    lefts = np.concatenate(([0.0], rights[:-1]))
+    wide = rights - lefts >= 1e-14
+    return lefts[wide], rights[wide]
 
 
-def _screen_block(fam: _CurveFamily, idx: np.ndarray, by_weight: np.ndarray | None,
-                  t: float, k: int, lefts: np.ndarray, rights: np.ndarray):
-    """Select and bound the candidates of a block of intervals (lefts[i], rights[i]).
+def _level_runs(fam: _CurveFamily, idx: np.ndarray, t: float, k: int,
+                lefts: np.ndarray, rights: np.ndarray):
+    """Group the intervals (lefts[i], rights[i]) into runs of consecutive ones
+    that select the same candidates.
 
-    Returns ``bound``, below every exact fsum lower bound of a candidate of
-    interval i that passes its cap check (inf if none passes, -inf if a cap
-    check is too close to call); ``visits``, what the exact step adds to the
-    counter when it prunes every candidate; ``select(i)``, the candidates as
-    position lists in selection order; and the curve values at the left ends.
-    Curve values and selections are the scalar ones, bit for bit.
+    A candidate is the k lowest negative curves at the interval's midpoint,
+    ties broken by position, and for the varying rule also the k heaviest
+    negative curves.  At the varying rule's zero shift a curve is negative
+    for every lam exactly where r > t, so that second set is one per level.
+    Returns ``edges``, run j being intervals edges[j] to edges[j + 1] - 1, and
+    ``sets``, one (members, present) pair per kind of candidate: members[j]
+    masks run j's candidate over the active curves, and present[j] is False
+    where it repeats the first kind's.
+    """
+    m = idx.size
+    rows = max(1, _BLOCK_ENTRIES // max(1, m))
+    firsts, keys = [np.empty(0, dtype=np.intp)], [np.empty((0, m), dtype=bool)]
+    last = None  # the selection of the last block's last interval
+    for start in range(0, rights.size, rows):
+        block = slice(start, start + rows)
+        gm = fam.curve_values(idx, t, (0.5 * (lefts[block] + rights[block]))[:, None])
+        # the k lowest negative curves; lexsort((idx, gm)) is this stable sort
+        order = np.argsort(gm, axis=1, kind="stable")
+        key = order.argsort(axis=1) < np.minimum((gm < 0.0).sum(axis=1), k)[:, None]
+        new = np.ones(key.shape[0], dtype=bool)
+        new[1:] = (key[1:] != key[:-1]).any(axis=1)
+        new[0] = last is None or bool((key[0] != last).any())
+        firsts.append(start + np.flatnonzero(new))
+        keys.append(key[new])
+        last = key[-1]
+    chosen = np.concatenate(keys)
+    sets = [(chosen, np.ones(chosen.shape[0], dtype=bool))]
+    if fam.varying and m > k:
+        by_weight = np.lexsort((idx, -fam.v[idx]))
+        heavy = np.zeros(m, dtype=bool)
+        heavy[by_weight[fam.r[idx[by_weight]] > t][:k]] = True
+        sets.append((np.broadcast_to(heavy, chosen.shape), (chosen != heavy).any(axis=1)))
+    return np.append(np.concatenate(firsts), rights.size), sets
+
+
+def _screen_runs(fam: _CurveFamily, idx: np.ndarray, t: float,
+                 lefts: np.ndarray, rights: np.ndarray, sets):
+    """Bound the candidates of the runs (lefts[j], rights[j]) from below.
+
+    ``sets`` is as ``_level_runs`` returns it, for these runs.  Returns
+    ``bound``, below every exact fsum lower bound of a candidate of run j
+    that passes its cap check (inf if none passes, -inf if a cap check is too
+    close to call), and the curve values at the runs' left ends.  A set's
+    curves do not decrease in lam and its no-purchase term does not rise, so
+    the bound holds on the whole run.
     """
     v = fam.v[idx]
-    n_rows, m = rights.size, idx.size
-    values = fam.curve_values(idx, t, np.concatenate((0.5 * (lefts + rights), lefts))[:, None])
-    gm, left_vals = values[:n_rows], values[n_rows:]
-    if lefts[0] == 0.0:  # the lam -> 0+ limit of every active curve
-        left_vals[0] = -v
-
-    # the k lowest negative curves; lexsort((idx, gm)) is this stable sort
-    negative = gm < 0.0
-    order = np.argsort(gm, axis=1, kind="stable")
-    n_take = np.minimum(negative.sum(axis=1), k)
-    chosen = order.argsort(axis=1) < n_take[:, None]  # rank in the order < n_take
-    sets = [(chosen, True)]
-    if by_weight is not None:  # the varying rule also tries the k heaviest negative curves
-        negative = negative[:, by_weight]
-        heavy = np.zeros_like(chosen)
-        heavy[:, by_weight] = negative & (np.cumsum(negative, axis=1) <= k)
-        differs = (heavy != chosen).any(axis=1)
-        sets.append((heavy, differs))
-
-    bound = np.full(n_rows, np.inf)
-    visits = np.ones(n_rows, dtype=np.int64)
+    left_vals = fam.curve_values(idx, t, lefts[:, None])
+    left_vals[lefts == 0.0] = -v  # the lam -> 0+ limit of every active curve
+    bound = np.full(lefts.size, np.inf)
     for members, present in sets:
         weight = 1.0 + np.where(members, v, 0.0).sum(axis=1)
         cap_lo, cap_hi = fam.caps(np.outer(_BRACKET, weight)) * _BRACKET[:, None]
@@ -404,18 +465,7 @@ def _screen_block(fam: _CurveFamily, idx: np.ndarray, by_weight: np.ndarray | No
         passes = present & (cap_lo > lefts)
         unsure = present & ~passes & (cap_hi > lefts)
         bound = np.minimum(bound, np.where(passes, lower, np.where(unsure, -np.inf, np.inf)))
-        visits += passes
-    tiny = rights - lefts < 1e-14
-    bound[tiny] = np.inf
-    visits[tiny] = 0
-
-    def select(i: int) -> list[list[int]]:
-        cands = [order[i, :n_take[i]].tolist()]
-        if by_weight is not None and differs[i]:
-            cands.append(by_weight[heavy[i, by_weight]].tolist())
-        return cands
-
-    return bound, visits, select, left_vals
+    return bound, left_vals
 
 
 def evaluate_level_slack(model: MnlModel, k: int, spec: RadiusSpec, level: float):

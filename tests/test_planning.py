@@ -1,9 +1,10 @@
+import decimal
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robust_assortment import (
@@ -97,6 +98,124 @@ def test_intersection_invariants_random(rng):
             gaps = [abs(a - b) for a, b in zip(vals, vals[1:])]
             scale = 1.0 + max(abs(x) for x in vals)
             assert min(gaps) <= 1e-9 * scale
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _bisected_pair_crossings(v, r, t, shift):
+    """Reference roots: the planner's former bracketing and 110-step bisection."""
+    m = v.size
+    if m < 2:
+        return np.empty(0)
+    iu, ju = np.triu_indices(m, k=1)
+    vi, vj = v[iu], v[ju]
+    ri, rj = r[iu], r[ju]
+    swap = vj > vi
+    av = np.where(swap, vj, vi)
+    ar = np.where(swap, rj, ri)
+    bv = np.where(swap, vi, vj)
+    br = np.where(swap, ri, rj)
+
+    keep = av > bv
+    av, ar, bv, br = av[keep], ar[keep], bv[keep], br[keep]
+    if av.size == 0:
+        return np.empty(0)
+    cs = (av - bv) * math.exp(-shift)
+
+    def psi(lam):
+        return av * np.exp((t - ar) / lam) - bv * np.exp((t - br) / lam) - cs
+
+    psi0 = np.where(ar == t, av, 0.0) - np.where(br == t, bv, 0.0) - cs
+    psi_inf = (av - bv) * (-math.expm1(-shift))
+    big_a = av * (ar - t)
+    big_b = bv * (br - t)
+    log_ratio = np.log(big_b) - np.log(big_a)
+    lam_crit = (br - ar) / log_ratio
+    has_crit = (big_a > 0) & (big_b > 0) & (ar != br) & (lam_crit > 0) & np.isfinite(lam_crit)
+    peak_val = np.full(av.shape, -np.inf)
+    if np.any(has_crit):
+        lc = np.where(has_crit, lam_crit, 1.0)
+        peak_val = np.where(has_crit & (ar < br), psi(lc), -np.inf)
+
+    has_root = (psi0 < 0.0) & ((peak_val > 0.0) | (psi_inf > 0.0))
+    if not np.any(has_root):
+        return np.empty(0)
+    av, ar, bv, br, cs = av[has_root], ar[has_root], bv[has_root], br[has_root], cs[has_root]
+    start = np.where(
+        has_crit[has_root], np.where(has_crit, lam_crit, 1.0)[has_root],
+        np.maximum(ar - t, br - t),
+    )
+
+    hi = start.copy()
+    for _ in range(300):
+        low_side = psi(hi) <= 0.0
+        if not np.any(low_side):
+            break
+        hi[low_side] *= 2.0
+    bracketed = psi(hi) > 0.0
+    av, ar, bv, br, cs, hi = (
+        av[bracketed], ar[bracketed], bv[bracketed], br[bracketed], cs[bracketed], hi[bracketed],
+    )
+    if av.size == 0:
+        return np.empty(0)
+    lo = hi.copy()
+    for _ in range(300):
+        high_side = psi(lo) >= 0.0
+        if not np.any(high_side):
+            break
+        lo[high_side] *= 0.5
+    for _ in range(110):
+        mid = 0.5 * (lo + hi)
+        pos = psi(mid) >= 0.0
+        hi = np.where(pos, mid, hi)
+        lo = np.where(pos, lo, mid)
+        if np.all(hi - lo <= 1e-15 * hi):
+            break
+    return np.sort(0.5 * (lo + hi))
+
+
+def _decimal_crossing(v, r, t, shift, lam):
+    """The crossing of the two curves (v, r) near ``lam``, to 50 digits: Newton's
+    method on av*exp((t - ar)/x) - bv*exp((t - br)/x) - (av - bv)*exp(-shift)
+    from ``lam``, accepted only where that function changes sign within 1e-30
+    of the result (else None)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        (av, bv), (ar, br) = (map(decimal.Decimal, pair) for pair in (v.tolist(), r.tolist()))
+        t, x = decimal.Decimal(t), decimal.Decimal(lam)
+        cs = (av - bv) * (-decimal.Decimal(shift)).exp()
+
+        def f(x):
+            return av * ((t - ar) / x).exp() - bv * ((t - br) / x).exp() - cs
+
+        for _ in range(30):
+            ea, eb = av * ((t - ar) / x).exp(), bv * ((t - br) / x).exp()
+            step = (ea - eb - cs) / ((ea * (ar - t) - eb * (br - t)) / (x * x))
+            x -= step
+            if not x > 0 or abs(step) <= x * decimal.Decimal("1e-45"):
+                break
+        width = x * decimal.Decimal("1e-30")
+        if x > 0 and (f(x - width) < 0) != (f(x + width) < 0):
+            return x
+        return None
+
+
+def test_pair_roots_match_decimal_solutions():
+    rng = np.random.default_rng(1234)
+    roots = 0
+    for _ in range(2400):
+        t = float(rng.choice([0.0, 0.25, rng.uniform(0.0, 0.9)]))
+        r = np.array([max(t, float(rng.choice([*TIED_REVENUES, t, rng.uniform(t, 1.0)])))
+                      for _ in range(2)])
+        v = 10.0 ** rng.uniform(-4.0, 4.0, 2)
+        shift = 0.0 if rng.random() < 0.5 else 10.0 ** rng.uniform(-11.0, math.log10(30.0))
+        xs = _pair_crossings(v, r, t, shift)
+        assert xs.size == _bisected_pair_crossings(v, r, t, shift).size
+        for lam in xs.tolist():
+            exact = _decimal_crossing(v, r, t, shift, lam)
+            assert exact is not None, (v, r, t, shift, lam)
+            assert abs(decimal.Decimal(lam) - exact) <= decimal.Decimal(1e-9) * exact
+            roots += 1
+    assert roots >= 500
 
 
 def test_level_slack_single_item_against_grid():
@@ -311,8 +430,8 @@ def test_exact_planners_match_primal_oracle_on_ties_and_zero_revenues(inputs):
 
 
 def _reference_min_level_slack(fam, t, k, counter, stop_below=None):
-    """Reference walk: every interval selects by lexsort and bounds by fsum in turn.
-    ``_min_level_slack`` must return what it returns, and count the same, bit for bit."""
+    """Reference walk: every interval selects by lexsort, bounds by fsum and runs
+    the exact step in turn.  ``_check_slack_contract`` holds the run walk to it."""
     idx = fam.active_items(t)
     weight_full = 1.0 + float(fam.v[idx].sum())
     cap_full = fam.cap(weight_full)
@@ -402,34 +521,63 @@ def planning_instances(draw, max_items=10, zero_radius=False):
     return model, spec, draw(st.integers(1, n))
 
 
-def _both_slack_walks(fam, t, k, stop_below):
-    """(bulk result, its counter, reference result, its counter), values as bit strings."""
-    runs = []
-    for walk in (_min_level_slack, _reference_min_level_slack):
-        counter = _EvalCounter()
-        value, items, achieved = walk(fam, t, k, counter, stop_below=stop_below)
-        runs.append(((value.hex(), items, achieved), counter.n))
-    return runs
+def _check_slack_contract(fam, t, k, stop_below):
+    """The run walk against the reference walk: ``achieved`` is equal; without an
+    early exit the value is no higher; and the returned set attains the value:
+    it is no lower than the set's exact step over (0, cap] or over any interval
+    of the level's grid.  (The exact step's bisection runs out of steps before
+    it crosses many decades of lam, so at levels near 1e-45 the whole range
+    alone can miss a value that one interval finds.)  Returns the run walk's
+    result."""
+    result = _min_level_slack(fam, t, k, _EvalCounter(), stop_below=stop_below)
+    value, items, achieved = result
+    ref_value, _, ref_achieved = _reference_min_level_slack(fam, t, k, _EvalCounter(),
+                                                            stop_below=stop_below)
+    assert achieved == ref_achieved
+    if not achieved:
+        assert value <= ref_value + 1e-12 * max(1.0, abs(ref_value))
+    if value == math.inf:
+        assert items == () and ref_value == math.inf
+        return result
+    assert len(items) <= k and all(fam.r[i - 1] >= t for i in items)
+    positions = [i - 1 for i in items]
+    vs, rs = fam.v[positions].tolist(), fam.r[positions].tolist()
+    cap_s = fam.cap(1.0 + math.fsum(vs))
+    assert cap_s is not None
+    idx = fam.active_items(t)
+    lefts, rights = planning._level_intervals(
+        fam, idx, t, k, fam.cap(1.0 + float(fam.v[idx].sum())) or fam.cap(1.0))
+    spans = [(0.0, cap_s)] + [(left, min(right, cap_s)) for left, right
+                              in zip(lefts.tolist(), rights.tolist()) if left < cap_s]
+    attained = min(_minimize_on(vs, rs, t, fam.shift, lo, hi, _EvalCounter())[1]
+                   for lo, hi in spans)
+    assert attained <= value + 1e-12 * max(1.0, abs(value))
+    return result
 
 
 @settings(max_examples=300, deadline=None)
 @given(planning_instances(),
        st.one_of(st.sampled_from(TIED_REVENUES), st.floats(0.0, 1.0)),
        st.one_of(st.none(), st.just("target"), st.floats(-2.0, 2.0)))
+@example(case=(MnlModel(attractions=np.array([1.0] * 7 + [100.0, 10.0]),
+                        revenues=np.array([0.0] * 6 + [0.25, 1.17549435e-38, 0.25]), r_max=1.0),
+               VaryingRadius(0.004255344833954321, 117.0), 2),
+         level=1.401298464324817e-45, stop_below=None)
 def test_bulk_screen_matches_the_reference_loop(case, level, stop_below):
     model, spec, k = case
     fam = _CurveFamily(model.attractions, model.revenues, model.r_max, spec)
     if stop_below == "target":
         stop_below = fam.target
-    bulk, reference = _both_slack_walks(fam, level, k, stop_below)
-    assert bulk == reference
+    _check_slack_contract(fam, level, k, stop_below)
 
 
 def test_bulk_screen_matches_the_reference_loop_across_blocks(monkeypatch):
+    # runs continue across selection blocks, so every block size gives the
+    # same runs and the same result, bit for bit
     rng = np.random.default_rng(515)
     blocks = []
-    screen = planning._screen_block
-    monkeypatch.setattr(planning, "_screen_block", lambda *args: blocks.append(1) or screen(*args))
+    screen = planning._screen_runs
+    monkeypatch.setattr(planning, "_screen_runs", lambda *args: blocks.append(1) or screen(*args))
     later_block_exits = 0
     for trial in range(60):
         model = random_model(rng, n_min=6, n_max=14, r_max=1.0)
@@ -437,13 +585,21 @@ def test_bulk_screen_matches_the_reference_loop_across_blocks(monkeypatch):
         fam = _CurveFamily(model.attractions, model.revenues, model.r_max, spec)
         k = int(rng.integers(1, 4))
         level = float(rng.uniform(0.0, 0.6))
+        idx = fam.active_items(level)
+        lam_cap = fam.cap(1.0 + float(fam.v[idx].sum())) or fam.cap(1.0)
+        lefts, rights = planning._level_intervals(fam, idx, level, k, lam_cap)
+        seen = {}
         for entries in (1, 3 * model.n_items, 1 << 14):
             monkeypatch.setattr(planning, "_BLOCK_ENTRIES", entries)
+            edges, sets = planning._level_runs(fam, idx, level, k, lefts, rights)
+            runs = (edges.tolist(), [(m.tolist(), p.tolist()) for m, p in sets])
+            assert seen.setdefault("runs", runs) == runs
             for stop_below in (None, fam.target):
                 blocks.clear()
-                bulk, reference = _both_slack_walks(fam, level, k, stop_below)
-                assert bulk == reference
-                later_block_exits += bulk[0][2] and len(blocks) > 1
+                value, items, achieved = _check_slack_contract(fam, level, k, stop_below)
+                result = (value.hex(), items, achieved)
+                assert seen.setdefault(stop_below, result) == result
+                later_block_exits += achieved and len(blocks) > 1
     assert later_block_exits > 0
 
 
@@ -455,39 +611,46 @@ def _duplicated_instance(rng, n_distinct, copies):
 
 
 def _check_screen(fam, t, k, lefts=None, rights=None):
-    """Selections equal the lexsort ones; each bound is below the exact fsum bound
-    of every candidate that passes its cap check; visits count those candidates."""
+    """Every member interval of a run selects the run's candidates as lexsort
+    does (the varying rule's heavy set: its k heaviest curves with r > t);
+    consecutive runs differ; each run's bound is below the exact fsum bound of
+    every candidate that passes its cap check over the run, and is finite only
+    if one passes."""
     idx = fam.active_items(t)
     if lefts is None:
         lam_cap = fam.cap(1.0 + float(fam.v[idx].sum())) or fam.cap(1.0)
         lefts, rights = planning._level_intervals(fam, idx, t, k, lam_cap)
+        assert np.all(rights - lefts >= 1e-14)
     by_weight = np.lexsort((idx, -fam.v[idx])) if fam.varying and idx.size > k else None
-    bound, visits, select, left_vals = planning._screen_block(
-        fam, idx, by_weight, t, k, lefts, rights)
-    for i, (prev, right) in enumerate(zip(lefts.tolist(), rights.tolist())):
-        if right - prev < 1e-14:
-            assert bound[i] == math.inf and visits[i] == 0
-            continue
-        gm = fam.curve_values(idx, t, 0.5 * (prev + right))
-        chosen = [j for j in np.lexsort((idx, gm)) if gm[j] < 0.0][:k]
-        expected = [chosen]
-        if by_weight is not None:
-            heavy = [j for j in by_weight if gm[j] < 0.0][:k]
-            if sorted(heavy) != sorted(chosen):
-                expected.append(heavy)
-        assert select(i) == [[int(j) for j in cand] for cand in expected]
+    edges, sets = planning._level_runs(fam, idx, t, k, lefts, rights)
+    assert edges[0] == 0 and edges[-1] == rights.size and np.all(np.diff(edges) > 0)
+    candidates = [[np.flatnonzero(members[run]).tolist() for members, present in sets
+                   if present[run]] for run in range(edges.size - 1)]
+    assert all(a != b for a, b in zip(candidates, candidates[1:]))
+    heavy = None if by_weight is None else sorted(
+        [j for j in by_weight if fam.r[idx[j]] > t][:k])
+    for run, (first, end) in enumerate(zip(edges[:-1].tolist(), edges[1:].tolist())):
+        for prev, right in zip(lefts[first:end].tolist(), rights[first:end].tolist()):
+            gm = fam.curve_values(idx, t, 0.5 * (prev + right))
+            chosen = sorted([j for j in np.lexsort((idx, gm)) if gm[j] < 0.0][:k])
+            expected = [chosen] if heavy in (None, chosen) else [chosen, heavy]
+            assert candidates[run] == expected
+
+    run_lefts, run_rights = lefts[edges[:-1]], rights[edges[1:] - 1]
+    bound, left_vals = planning._screen_runs(fam, idx, t, run_lefts, run_rights, sets)
+    for run, (prev, right) in enumerate(zip(run_lefts.tolist(), run_rights.tolist())):
         exact = []
-        for cand in expected:
-            cap_s = fam.cap(1.0 + float(fam.v[idx[cand]].sum()) if cand else 1.0)
+        for cand in candidates[run]:
+            cap_s = fam.cap(1.0 + float(fam.v[idx[cand]].sum()))
             if cap_s is not None and cap_s > prev:
                 left = [-x for x in fam.v[idx[cand]]] if prev == 0.0 else fam.curve_values(
                     idx[cand], t, prev)
-                assert np.array_equal(left_vals[i, cand], left)
+                assert np.array_equal(left_vals[run, cand], left)
                 exact.append(_sum_curves([], [], t, fam.shift, min(right, cap_s))
                              + math.fsum(left))
-        if bound[i] != -math.inf:
-            assert visits[i] == 1 + len(exact)
-            assert bound[i] <= min(exact, default=math.inf)
+        assert bound[run] <= min(exact, default=math.inf)
+        if math.isfinite(bound[run]):
+            assert exact
 
 
 @settings(max_examples=200, deadline=None)
@@ -521,8 +684,8 @@ def test_screen_cap_checks_at_float_neighbours_of_the_cap():
         fam = _CurveFamily(model.attractions, model.revenues, model.r_max, spec)
         # at level 0 with k = n, every item is selected on every interval
         cap = fam.cap(1.0 + float(fam.v.sum()))
-        lefts = cap * (1.0 + steps)
-        _check_screen(fam, 0.0, n, lefts, 2.0 * lefts)
+        for left in cap * (1.0 + steps):
+            _check_screen(fam, 0.0, n, np.array([left]), np.array([2.0 * left]))
 
 
 @settings(max_examples=80, deadline=None)
