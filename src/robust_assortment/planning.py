@@ -12,11 +12,13 @@ constant.  Curve pairs cross at most once for positive dual values; each
 crossing is bracketed, then found by a monotone Newton iteration in 1/lam.
 Between consecutive crossing abscissas the best-K selection is constant, and
 it changes only where a swap crosses the K-th place, so consecutive intervals
-that select the same candidates form a run.  A fixed set's curve sum is
+that select the same set form a run.  A fixed set's curve sum is
 quasi-convex on all lam > 0, so one exact step per run, bisecting on the
 derivative sign over the whole run, finds its minimum there.  Each level
 screens its runs in bulk, a block at a time, against a conservative lower
 bound, and runs the exact step only on the runs the bound cannot rule out.
+The varying-radius rule also tries its k heaviest negative curves, one set
+per level, with one exact step over the whole level.
 """
 from __future__ import annotations
 
@@ -32,6 +34,7 @@ from .radius import RadiusSpec
 from .robust import robust_revenue, robust_values
 
 _EXP_CAP = 700.0  # exp argument clip; saturated values are never minimizers
+_LEAST_LAM = math.ulp(0.0)  # the least positive float
 # Curve values per bulk block of intervals or runs.  A level has up to m^2/2
 # intervals; blocks keep its scratch arrays at tens of kB.  Blocks of 2^14
 # entries ran no faster and raised the peak RSS of the plan bench by 3.5%.
@@ -52,8 +55,9 @@ class PlanResult:
     equals ``value`` for every planner here.  ``evaluations`` counts the
     planner's work: scored sets for the exact planners; for the general one,
     one per probed level, and at a nonzero radius also one per crossing
-    interval's selection, one per exact bound of a run's candidate and one
-    per curve-sum or slope evaluation of the exact steps.
+    interval's selection, one per exact bound of a candidate set (a run's,
+    or the varying rule's heaviest set) and one per curve-sum or slope
+    evaluation of the exact steps.
     """
 
     assortment: tuple[int, ...]
@@ -147,7 +151,8 @@ def _limit_at_zero(vs, rs, t: float, shift: float) -> float:
 
 
 def _minimize_on(vs, rs, t, shift, lo, hi, counter: _EvalCounter):
-    """Minimize the quasi-convex curve sum over [lo, hi] by slope-sign bisection."""
+    """Minimize the quasi-convex curve sum over [lo, hi] by slope-sign bisection,
+    on log(lam) while the bracket spans decades."""
     if lo <= 0.0:
         if t == 0.0:
             slope_hi = _sum_slopes(vs, rs, t, shift, hi)
@@ -157,12 +162,16 @@ def _minimize_on(vs, rs, t, shift, lo, hi, counter: _EvalCounter):
                 return hi, _sum_curves(vs, rs, t, shift, hi)
             # slope is nonnegative throughout at t == 0: minimum at the origin
             return 0.0, _limit_at_zero(vs, rs, t, shift)
-        slope_lo = -1.0  # diverges to -inf as lam -> 0+ when t > 0
+        # the slope diverges to -inf as lam -> 0+ when t > 0: step lo down by
+        # factors 2, 4, 16, ... to the least subnormal, and keep the step above
         lo = hi
-        for _ in range(200):
-            lo *= 0.5
+        step = 0.5
+        for _ in range(12):
+            above, lo = lo, max(lo * step, _LEAST_LAM)
+            step *= step
             counter.n += 1
             if _sum_slopes(vs, rs, t, shift, lo) < 0.0:
+                hi = above
                 break
     else:
         counter.n += 1
@@ -175,9 +184,10 @@ def _minimize_on(vs, rs, t, shift, lo, hi, counter: _EvalCounter):
         counter.n += 1
         return hi, _sum_curves(vs, rs, t, shift, hi)
     for _ in range(110):
-        mid = 0.5 * (lo + hi)
         if hi - lo <= 1e-15 * hi:
             break
+        # geometric midpoints while [lo, hi] spans more than a factor of 2
+        mid = math.sqrt(lo) * math.sqrt(hi) if 0.0 < 2.0 * lo < hi else 0.5 * (lo + hi)
         counter.n += 1
         if _sum_slopes(vs, rs, t, shift, mid) < 0.0:
             lo = mid
@@ -337,45 +347,53 @@ def _min_level_slack(fam: _CurveFamily, t: float, k: int, counter: _EvalCounter,
     if stop_below is not None and best_val < stop_below:
         return best_val, best_items, True
 
+    def exact_step(cand, prev, right, left_vals) -> bool:
+        """The exact step of candidate ``cand`` over (prev, right], unless its cap
+        check fails or its bound cannot undercut the best; True on an early exit."""
+        nonlocal best_val, best_items
+        cap_s = fam.cap(1.0 + float(fam.v[idx[cand]].sum()))
+        if cap_s is None or cap_s < prev:
+            return False
+        hi = min(right, cap_s)
+        if hi <= prev and prev > 0.0:
+            return False
+        counter.n += 1
+        if _sum_curves([], [], t, fam.shift, hi) + math.fsum(left_vals) >= best_val:
+            return False
+        vs = fam.v[idx[cand]].tolist()
+        rs = fam.r[idx[cand]].tolist()
+        _, val = _minimize_on(vs, rs, t, fam.shift, prev, hi, counter)
+        if val < best_val:
+            best_val, best_items = val, tuple((idx[cand] + 1).tolist())
+            return stop_below is not None and best_val < stop_below
+        return False
+
     lefts, rights = _level_intervals(fam, idx, t, k, lam_cap)
     counter.n += rights.size  # one selection per interval
-    edges, sets = _level_runs(fam, idx, t, k, lefts, rights)
+    edges, chosen = _level_runs(fam, idx, t, k, lefts, rights)
     run_lefts, run_rights = lefts[edges[:-1]], rights[edges[1:] - 1]
     rows = max(1, _BLOCK_ENTRIES // max(1, idx.size))
     for start in range(0, run_lefts.size, rows):
         block = slice(start, start + rows)
-        block_sets = [(members[block], present[block]) for members, present in sets]
         bound, left_vals = _screen_runs(fam, idx, t, run_lefts[block], run_rights[block],
-                                        block_sets)
+                                        chosen[block])
         # only a run whose bound undercuts the running best can change it
         low = bound.tolist()
         for i in np.flatnonzero(bound < best_val).tolist():
             if low[i] >= best_val:  # the best has dropped below it since
                 continue
-            prev, right = float(run_lefts[start + i]), float(run_rights[start + i])
-            for members, present in block_sets:
-                if not present[i]:
-                    continue
-                cand = np.flatnonzero(members[i])
-                cap_s = fam.cap(1.0 + float(fam.v[idx[cand]].sum()))
-                if cap_s is None or cap_s < prev:
-                    continue
-                hi = min(right, cap_s)
-                if hi <= prev and prev > 0.0:
-                    continue
-                counter.n += 1
-                lower_bound = _sum_curves([], [], t, fam.shift, hi) + math.fsum(
-                    left_vals[i, cand].tolist())
-                if lower_bound >= best_val:
-                    continue
-                vs = fam.v[idx[cand]].tolist()
-                rs = fam.r[idx[cand]].tolist()
-                _, val = _minimize_on(vs, rs, t, fam.shift, prev, hi, counter)
-                if val < best_val:
-                    best_val = val
-                    best_items = tuple((idx[cand] + 1).tolist())
-                    if stop_below is not None and best_val < stop_below:
-                        return best_val, best_items, True
+            cand = np.flatnonzero(chosen[start + i])
+            if exact_step(cand, float(run_lefts[start + i]), float(run_rights[start + i]),
+                          left_vals[i, cand].tolist()):
+                return best_val, best_items, True
+    if fam.varying and idx.size > k and rights.size:
+        # the varying rule's heavy set gets one exact step over all the intervals:
+        # it is one set per level, and its curve sum is quasi-convex
+        heavy = _heavy_set(fam, idx, t, k)
+        prev = float(lefts[0])
+        left_vals = -fam.v[idx[heavy]] if prev == 0.0 else fam.curve_values(idx[heavy], t, prev)
+        if heavy.size and exact_step(heavy, prev, float(rights[-1]), left_vals.tolist()):
+            return best_val, best_items, True
     return best_val, best_items, False
 
 
@@ -397,19 +415,23 @@ def _level_intervals(fam: _CurveFamily, idx: np.ndarray, t: float, k: int, lam_c
     return lefts[wide], rights[wide]
 
 
+def _heavy_set(fam: _CurveFamily, idx: np.ndarray, t: float, k: int) -> np.ndarray:
+    """The varying rule's second candidate: the sorted positions of its k
+    heaviest negative curves, ties broken by position.  At the rule's zero
+    shift a curve is negative for every lam exactly where r > t, so this is
+    one set per level."""
+    by_weight = np.lexsort((idx, -fam.v[idx]))
+    return np.sort(by_weight[fam.r[idx[by_weight]] > t][:k])
+
+
 def _level_runs(fam: _CurveFamily, idx: np.ndarray, t: float, k: int,
                 lefts: np.ndarray, rights: np.ndarray):
     """Group the intervals (lefts[i], rights[i]) into runs of consecutive ones
-    that select the same candidates.
+    that select the same set: the k lowest negative curves at the interval's
+    midpoint, ties broken by position.
 
-    A candidate is the k lowest negative curves at the interval's midpoint,
-    ties broken by position, and for the varying rule also the k heaviest
-    negative curves.  At the varying rule's zero shift a curve is negative
-    for every lam exactly where r > t, so that second set is one per level.
     Returns ``edges``, run j being intervals edges[j] to edges[j + 1] - 1, and
-    ``sets``, one (members, present) pair per kind of candidate: members[j]
-    masks run j's candidate over the active curves, and present[j] is False
-    where it repeats the first kind's.
+    ``chosen``, whose row j masks run j's set over the active curves.
     """
     m = idx.size
     rows = max(1, _BLOCK_ENTRIES // max(1, m))
@@ -427,45 +449,35 @@ def _level_runs(fam: _CurveFamily, idx: np.ndarray, t: float, k: int,
         firsts.append(start + np.flatnonzero(new))
         keys.append(key[new])
         last = key[-1]
-    chosen = np.concatenate(keys)
-    sets = [(chosen, np.ones(chosen.shape[0], dtype=bool))]
-    if fam.varying and m > k:
-        by_weight = np.lexsort((idx, -fam.v[idx]))
-        heavy = np.zeros(m, dtype=bool)
-        heavy[by_weight[fam.r[idx[by_weight]] > t][:k]] = True
-        sets.append((np.broadcast_to(heavy, chosen.shape), (chosen != heavy).any(axis=1)))
-    return np.append(np.concatenate(firsts), rights.size), sets
+    return np.append(np.concatenate(firsts), rights.size), np.concatenate(keys)
 
 
 def _screen_runs(fam: _CurveFamily, idx: np.ndarray, t: float,
-                 lefts: np.ndarray, rights: np.ndarray, sets):
-    """Bound the candidates of the runs (lefts[j], rights[j]) from below.
+                 lefts: np.ndarray, rights: np.ndarray, chosen: np.ndarray):
+    """Bound the sets of the runs (lefts[j], rights[j]) from below.
 
-    ``sets`` is as ``_level_runs`` returns it, for these runs.  Returns
-    ``bound``, below every exact fsum lower bound of a candidate of run j
-    that passes its cap check (inf if none passes, -inf if a cap check is too
-    close to call), and the curve values at the runs' left ends.  A set's
-    curves do not decrease in lam and its no-purchase term does not rise, so
-    the bound holds on the whole run.
+    Row j of ``chosen`` masks run j's set over the active curves.  Returns
+    ``bound``, below the exact fsum lower bound of run j's set if that set
+    passes its cap check (inf if it fails, -inf if the check is too close to
+    call), and the curve values at the runs' left ends.  A set's curves do not
+    decrease in lam and its no-purchase term does not rise, so the bound holds
+    on the whole run.
     """
     v = fam.v[idx]
     left_vals = fam.curve_values(idx, t, lefts[:, None])
     left_vals[lefts == 0.0] = -v  # the lam -> 0+ limit of every active curve
-    bound = np.full(lefts.size, np.inf)
-    for members, present in sets:
-        weight = 1.0 + np.where(members, v, 0.0).sum(axis=1)
-        cap_lo, cap_hi = fam.caps(np.outer(_BRACKET, weight)) * _BRACKET[:, None]
-        hi = np.minimum(rights, cap_hi)  # the bound falls as hi grows
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            no_purchase = np.exp(np.minimum(t / hi + fam.shift, _EXP_CAP)) - 1.0
-        selected = np.where(members, left_vals, 0.0)
-        lower = no_purchase + selected.sum(axis=1) - _SCREEN_REL * (
-            no_purchase + np.abs(selected).sum(axis=1))  # no_purchase >= 0: t, shift >= 0
-        # the exact step bounds a set iff its cap exceeds the left end
-        passes = present & (cap_lo > lefts)
-        unsure = present & ~passes & (cap_hi > lefts)
-        bound = np.minimum(bound, np.where(passes, lower, np.where(unsure, -np.inf, np.inf)))
-    return bound, left_vals
+    weight = 1.0 + np.where(chosen, v, 0.0).sum(axis=1)
+    cap_lo, cap_hi = fam.caps(np.outer(_BRACKET, weight)) * _BRACKET[:, None]
+    hi = np.minimum(rights, cap_hi)  # the bound falls as hi grows
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        no_purchase = np.exp(np.minimum(t / hi + fam.shift, _EXP_CAP)) - 1.0
+    selected = np.where(chosen, left_vals, 0.0)
+    lower = no_purchase + selected.sum(axis=1) - _SCREEN_REL * (
+        no_purchase + np.abs(selected).sum(axis=1))  # no_purchase >= 0: t, shift >= 0
+    # the exact step bounds a set iff its cap exceeds the left end
+    passes = cap_lo > lefts
+    unsure = ~passes & (cap_hi > lefts)
+    return np.where(passes, lower, np.where(unsure, -np.inf, np.inf)), left_vals
 
 
 def evaluate_level_slack(model: MnlModel, k: int, spec: RadiusSpec, level: float):

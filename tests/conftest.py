@@ -1,16 +1,9 @@
 import math
-import os
 
 import numpy as np
 import pytest
-from hypothesis import settings
 
 from robust_assortment import ConstantRadius, MnlModel, VaryingRadius
-
-# CI sets HYPOTHESIS_PROFILE=ci, so a failing property prints the blob that
-# reproduces it with @reproduce_failure
-settings.register_profile("ci", print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def random_model(rng, n_min=2, n_max=10, r_max=None, uniform_revenue=False):

@@ -524,11 +524,8 @@ def planning_instances(draw, max_items=10, zero_radius=False):
 def _check_slack_contract(fam, t, k, stop_below):
     """The run walk against the reference walk: ``achieved`` is equal; without an
     early exit the value is no higher; and the returned set attains the value:
-    it is no lower than the set's exact step over (0, cap] or over any interval
-    of the level's grid.  (The exact step's bisection runs out of steps before
-    it crosses many decades of lam, so at levels near 1e-45 the whole range
-    alone can miss a value that one interval finds.)  Returns the run walk's
-    result."""
+    it is no lower than the set's exact step over (0, cap].  Returns the run
+    walk's result."""
     result = _min_level_slack(fam, t, k, _EvalCounter(), stop_below=stop_below)
     value, items, achieved = result
     ref_value, _, ref_achieved = _reference_min_level_slack(fam, t, k, _EvalCounter(),
@@ -544,13 +541,7 @@ def _check_slack_contract(fam, t, k, stop_below):
     vs, rs = fam.v[positions].tolist(), fam.r[positions].tolist()
     cap_s = fam.cap(1.0 + math.fsum(vs))
     assert cap_s is not None
-    idx = fam.active_items(t)
-    lefts, rights = planning._level_intervals(
-        fam, idx, t, k, fam.cap(1.0 + float(fam.v[idx].sum())) or fam.cap(1.0))
-    spans = [(0.0, cap_s)] + [(left, min(right, cap_s)) for left, right
-                              in zip(lefts.tolist(), rights.tolist()) if left < cap_s]
-    attained = min(_minimize_on(vs, rs, t, fam.shift, lo, hi, _EvalCounter())[1]
-                   for lo, hi in spans)
+    _, attained = _minimize_on(vs, rs, t, fam.shift, 0.0, cap_s, _EvalCounter())
     assert attained <= value + 1e-12 * max(1.0, abs(value))
     return result
 
@@ -563,12 +554,29 @@ def _check_slack_contract(fam, t, k, stop_below):
                         revenues=np.array([0.0] * 6 + [0.25, 1.17549435e-38, 0.25]), r_max=1.0),
                VaryingRadius(0.004255344833954321, 117.0), 2),
          level=1.401298464324817e-45, stop_below=None)
+@example(case=(MnlModel(attractions=np.array([1.0] * 5 + [0.1, 1.0]),
+                        revenues=np.array([0.25] * 6 + [2.33548458e-74]), r_max=1.0),
+               VaryingRadius(0.0759030064340021, 6.1), 6),
+         level=1.389889991480131e-162, stop_below=None)
+@example(case=(MnlModel(attractions=np.array([1.0, 1.0, 1.0, 0.1, 1.0]),
+                        revenues=np.array([0.0, 0.0, 0.0, 0.25, 1.16609094e-92]), r_max=1.0),
+               VaryingRadius(0.109126783010009, 4.1), 1),
+         level=0.0, stop_below="target")
 def test_bulk_screen_matches_the_reference_loop(case, level, stop_below):
     model, spec, k = case
     fam = _CurveFamily(model.attractions, model.revenues, model.r_max, spec)
     if stop_below == "target":
         stop_below = fam.target
     _check_slack_contract(fam, level, k, stop_below)
+
+
+def test_exact_step_is_accurate_across_many_decades():
+    # the set's curve sum nears its infimum (about -110) only for lam near 1e-40
+    vs, rs, t = [100.0, 10.0], [1.17549435e-38, 0.25], 1.401298464324817e-45
+    for lo in (0.0, 1e-300, 1e-45):
+        lam, value = _minimize_on(vs, rs, t, 0.0, lo, 221.0, _EvalCounter())
+        assert value == _sum_curves(vs, rs, t, 0.0, lam)
+        assert value < -109.9999
 
 
 def test_bulk_screen_matches_the_reference_loop_across_blocks(monkeypatch):
@@ -591,8 +599,8 @@ def test_bulk_screen_matches_the_reference_loop_across_blocks(monkeypatch):
         seen = {}
         for entries in (1, 3 * model.n_items, 1 << 14):
             monkeypatch.setattr(planning, "_BLOCK_ENTRIES", entries)
-            edges, sets = planning._level_runs(fam, idx, level, k, lefts, rights)
-            runs = (edges.tolist(), [(m.tolist(), p.tolist()) for m, p in sets])
+            edges, chosen = planning._level_runs(fam, idx, level, k, lefts, rights)
+            runs = (edges.tolist(), chosen.tolist())
             assert seen.setdefault("runs", runs) == runs
             for stop_below in (None, fam.target):
                 blocks.clear()
@@ -611,46 +619,47 @@ def _duplicated_instance(rng, n_distinct, copies):
 
 
 def _check_screen(fam, t, k, lefts=None, rights=None):
-    """Every member interval of a run selects the run's candidates as lexsort
-    does (the varying rule's heavy set: its k heaviest curves with r > t);
+    """Every member interval of a run selects the run's set as lexsort does;
     consecutive runs differ; each run's bound is below the exact fsum bound of
-    every candidate that passes its cap check over the run, and is finite only
-    if one passes."""
+    its set if that set passes its cap check over the run, and is finite only
+    if it passes.  For the varying rule, every member interval's k heaviest
+    negative curves are the level's heavy set, unless a revenue gap underflows
+    a curve to -0 there."""
     idx = fam.active_items(t)
     if lefts is None:
         lam_cap = fam.cap(1.0 + float(fam.v[idx].sum())) or fam.cap(1.0)
         lefts, rights = planning._level_intervals(fam, idx, t, k, lam_cap)
         assert np.all(rights - lefts >= 1e-14)
-    by_weight = np.lexsort((idx, -fam.v[idx])) if fam.varying and idx.size > k else None
-    edges, sets = planning._level_runs(fam, idx, t, k, lefts, rights)
+    edges, chosen = planning._level_runs(fam, idx, t, k, lefts, rights)
     assert edges[0] == 0 and edges[-1] == rights.size and np.all(np.diff(edges) > 0)
-    candidates = [[np.flatnonzero(members[run]).tolist() for members, present in sets
-                   if present[run]] for run in range(edges.size - 1)]
+    candidates = [np.flatnonzero(row).tolist() for row in chosen]
+    assert len(candidates) == edges.size - 1
     assert all(a != b for a, b in zip(candidates, candidates[1:]))
-    heavy = None if by_weight is None else sorted(
-        [j for j in by_weight if fam.r[idx[j]] > t][:k])
+    heavy = None
+    if fam.varying and idx.size > k:
+        by_weight = np.lexsort((idx, -fam.v[idx]))
+        heavy = planning._heavy_set(fam, idx, t, k).tolist()
     for run, (first, end) in enumerate(zip(edges[:-1].tolist(), edges[1:].tolist())):
         for prev, right in zip(lefts[first:end].tolist(), rights[first:end].tolist()):
             gm = fam.curve_values(idx, t, 0.5 * (prev + right))
-            chosen = sorted([j for j in np.lexsort((idx, gm)) if gm[j] < 0.0][:k])
-            expected = [chosen] if heavy in (None, chosen) else [chosen, heavy]
-            assert candidates[run] == expected
+            assert candidates[run] == sorted([j for j in np.lexsort((idx, gm))
+                                              if gm[j] < 0.0][:k])
+            if heavy is not None and np.all(gm[fam.r[idx] > t] < 0.0):
+                assert heavy == sorted([j for j in by_weight if gm[j] < 0.0][:k])
 
     run_lefts, run_rights = lefts[edges[:-1]], rights[edges[1:] - 1]
-    bound, left_vals = planning._screen_runs(fam, idx, t, run_lefts, run_rights, sets)
+    bound, left_vals = planning._screen_runs(fam, idx, t, run_lefts, run_rights, chosen)
     for run, (prev, right) in enumerate(zip(run_lefts.tolist(), run_rights.tolist())):
-        exact = []
-        for cand in candidates[run]:
-            cap_s = fam.cap(1.0 + float(fam.v[idx[cand]].sum()))
-            if cap_s is not None and cap_s > prev:
-                left = [-x for x in fam.v[idx[cand]]] if prev == 0.0 else fam.curve_values(
-                    idx[cand], t, prev)
-                assert np.array_equal(left_vals[run, cand], left)
-                exact.append(_sum_curves([], [], t, fam.shift, min(right, cap_s))
-                             + math.fsum(left))
-        assert bound[run] <= min(exact, default=math.inf)
-        if math.isfinite(bound[run]):
-            assert exact
+        cand = candidates[run]
+        cap_s = fam.cap(1.0 + float(fam.v[idx[cand]].sum()))
+        if cap_s is not None and cap_s > prev:
+            left = [-x for x in fam.v[idx[cand]]] if prev == 0.0 else fam.curve_values(
+                idx[cand], t, prev)
+            assert np.array_equal(left_vals[run, cand], left)
+            assert bound[run] <= (_sum_curves([], [], t, fam.shift, min(right, cap_s))
+                                  + math.fsum(left))
+        else:
+            assert not math.isfinite(bound[run])
 
 
 @settings(max_examples=200, deadline=None)
