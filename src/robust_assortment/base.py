@@ -1,7 +1,5 @@
-"""Shared exceptions and the parameter-introspection mixin."""
+"""The package's typed exceptions, all subclasses of ``RobustAssortmentError``."""
 from __future__ import annotations
-
-import inspect
 
 
 class RobustAssortmentError(Exception):
@@ -38,40 +36,3 @@ class ModelFormatError(RobustAssortmentError, ValueError):
 
 class ConfigError(RobustAssortmentError, ValueError):
     """An experiment config names settings that do not exist."""
-
-
-class NotFittedError(RobustAssortmentError, AttributeError):
-    """fit() has not been called on this estimator yet."""
-
-
-class ParamsMixin:
-    """scikit-learn style ``get_params`` / ``set_params`` support.
-
-    Estimators store constructor arguments verbatim as attributes, so the
-    ``__init__`` signature is the single source of parameter names.  This is
-    duck-type compatible with ``sklearn.base.clone`` and model-selection
-    tooling without importing scikit-learn.
-    """
-
-    @classmethod
-    def _param_names(cls) -> list[str]:
-        sig = inspect.signature(cls.__init__)
-        return [name for name in sig.parameters if name != "self"]
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
-
-    def set_params(self, **params):
-        valid = set(self._param_names())
-        for key, value in params.items():
-            if key not in valid:
-                raise ValueError(f"unknown parameter {key!r} for {type(self).__name__}")
-            setattr(self, key, value)
-        return self
-
-
-def check_fitted(estimator, attribute: str) -> None:
-    if not hasattr(estimator, attribute):
-        raise NotFittedError(
-            f"{type(estimator).__name__} is not fitted yet; call fit() first"
-        )

@@ -16,7 +16,7 @@ from itertools import chain
 
 import numpy as np
 
-from .base import DataValidationError, InvalidAssortmentError, ParamsMixin, check_fitted
+from .base import DataValidationError, InvalidAssortmentError
 from .model import MnlModel, as_assortment
 
 #: Cap applied to the plug-in attraction when the win-rate estimate is 1.
@@ -249,7 +249,8 @@ class RankBreakingEstimate:
     """Point estimates and lower confidence bounds for the attractions.
 
     ``p_hat`` is NaN where the item was never part of a duel; the matching
-    ``v_hat`` is 0 there and capped at ``v_cap`` where ``p_hat`` hits 1.
+    ``v_hat`` is 0 there and capped at ``v_cap`` (always ``DEFAULT_V_CAP``)
+    where ``p_hat`` hits 1.
     ``v_lcb`` needs no cap: the confidence penalty keeps the bound below 1.
     """
 
@@ -264,8 +265,7 @@ class RankBreakingEstimate:
     v_cap: float
 
 
-def point_and_lcb(counts: RankBreakingCounts, delta: float,
-                  v_cap: float = DEFAULT_V_CAP) -> RankBreakingEstimate:
+def point_and_lcb(counts: RankBreakingCounts, delta: float) -> RankBreakingEstimate:
     """Win-rate point estimates and their lower confidence bounds.
 
     The bound subtracts an empirical-Bernstein style penalty
@@ -282,52 +282,17 @@ def point_and_lcb(counts: RankBreakingCounts, delta: float,
     p_hat[seen] = wins[seen] / duels[seen]
 
     v_hat = np.zeros(wins.shape)
-    v_hat[seen] = np.where(
-        p_hat[seen] >= 1.0, v_cap, p_hat[seen] / (1.0 - np.where(p_hat[seen] >= 1.0, 0.0, p_hat[seen]))
-    )
+    ph, m = p_hat[seen], duels[seen]
+    v_hat[seen] = np.where(ph >= 1.0, DEFAULT_V_CAP, ph / (1.0 - np.where(ph >= 1.0, 0.0, ph)))
 
     p_lcb = np.zeros(wins.shape)
-    ph, m = p_hat[seen], duels[seen]
     penalty = np.sqrt(2.0 * ph * (1.0 - ph) * log_term / m) + log_term / m
     p_lcb[seen] = np.maximum(0.0, ph - penalty)
     v_lcb = p_lcb / (1.0 - p_lcb)
     return RankBreakingEstimate(
         wins=counts.wins.copy(), duels=counts.duels.copy(), offered=counts.offered.copy(),
-        p_hat=p_hat, v_hat=v_hat, p_lcb=p_lcb, v_lcb=v_lcb, delta=delta, v_cap=v_cap,
+        p_hat=p_hat, v_hat=v_hat, p_lcb=p_lcb, v_lcb=v_lcb, delta=delta, v_cap=DEFAULT_V_CAP,
     )
-
-
-class RankBreakingEstimator(ParamsMixin):
-    """Estimator-style wrapper: ``fit(records)`` then read fitted arrays.
-
-    Parameters
-    ----------
-    n_items : number of items in the catalogue (ids are 1-based).
-    delta : per-item failure probability fed to the confidence bound. Passed
-        through verbatim; callers wanting a simultaneous guarantee over all
-        items should divide their budget by the number of items themselves.
-    v_cap : cap for the plug-in attraction when the win rate estimate is 1.
-    """
-
-    def __init__(self, n_items: int, delta: float = 0.1, v_cap: float = DEFAULT_V_CAP):
-        self.n_items = n_items
-        self.delta = delta
-        self.v_cap = v_cap
-
-    def fit(self, records) -> "RankBreakingEstimator":
-        counts = rank_breaking(records, self.n_items)
-        est = point_and_lcb(counts, self.delta, self.v_cap)
-        self.counts_ = counts
-        self.estimate_ = est
-        self.v_hat_ = est.v_hat
-        self.v_lcb_ = est.v_lcb
-        self.n_offered_ = counts.offered
-        return self
-
-    def transform(self, records=None) -> np.ndarray:
-        """Pessimistic attraction vector of the fitted data."""
-        check_fitted(self, "estimate_")
-        return self.v_lcb_.copy()
 
 
 def lcb_validity_rate(model: MnlModel, schedule, n: int, delta: float,

@@ -68,12 +68,6 @@ class ExperimentConfig:
     def rng_for(self, *path) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence((self.seed, hash_path(path))))
 
-    def to_dict(self) -> dict:
-        payload = {}
-        for key, value in self.__dict__.items():
-            payload[key] = list(value) if isinstance(value, tuple) else value
-        return payload
-
 
 def hash_path(path) -> int:
     """Stable small integer from a tuple of strings/ints (for seed spawning)."""

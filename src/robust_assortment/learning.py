@@ -1,10 +1,12 @@
 """Data-driven robust assortment learning.
 
-The learner estimates attractions by rank breaking, replaces them with lower
-confidence bounds (or plug-in point estimates for the non-pessimistic
-baseline), and hands the resulting parameters to the robust planner.  Under
-the varying-radius rule the slack target keeps the *true* total attraction,
-which is assumed known, while the curves use the estimated attractions.
+``learn_robust_assortment(dataset, n_items, LearnConfig(...))`` is the one
+learning entry point.  It estimates attractions by rank breaking, replaces
+them with lower confidence bounds (or plug-in point estimates for the
+non-pessimistic baseline), and hands the resulting parameters to the robust
+planner.  Under the varying-radius rule the slack target keeps the *true*
+total attraction, which is assumed known, while the curves use the estimated
+attractions.
 """
 from __future__ import annotations
 
@@ -12,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import ParamsMixin, check_fitted
-from .estimation import DEFAULT_V_CAP, point_and_lcb, rank_breaking
+from .estimation import point_and_lcb, rank_breaking
 from .model import MnlModel, as_assortment
 from .planning import PlanResult, plan
 from .radius import RadiusSpec
@@ -36,7 +37,6 @@ class LearnConfig:
     r_max: float | None = None
     eps_plan: float | None = None
     pessimism: bool = True
-    v_cap: float = DEFAULT_V_CAP
 
     def resolved_r_max(self) -> float:
         if self.r_max is not None:
@@ -80,7 +80,7 @@ def learn_robust_assortment(dataset, n_items: int, cfg: LearnConfig):
     if len(cfg.revenues) != n_items:
         raise ValueError("cfg.revenues must have one entry per item")
     counts = rank_breaking(dataset, n_items)
-    estimate = point_and_lcb(counts, cfg.delta, cfg.v_cap)
+    estimate = point_and_lcb(counts, cfg.delta)
     v_used = estimate.v_lcb if cfg.pessimism else estimate.v_hat
     items, result = _plan_on_estimate(np.asarray(v_used, dtype=float), cfg)
     diagnostics = {
@@ -127,55 +127,3 @@ def suboptimality(true_model: MnlModel, spec: RadiusSpec, s_hat, k: int,
         star_value = plan(true_model, k, spec, eps=eps).value
     hat_value = robust_revenue(true_model, s_hat, spec).value if s_hat else 0.0
     return star_value - hat_value
-
-
-class RobustAssortmentLearner(ParamsMixin):
-    """Offline robust assortment learner with an estimator-style interface.
-
-    ``fit(records)`` consumes (assortment, choice) pairs and exposes the
-    learned assortment as ``assortment_``.  ``pessimism=False`` switches to
-    the plug-in baseline that is pessimistic only about choice shift.
-    """
-
-    def __init__(self, n_items: int, revenues, k: int, spec: RadiusSpec,
-                 delta: float = 0.1, eps_plan: float | None = None,
-                 pessimism: bool = True, v_cap: float = DEFAULT_V_CAP,
-                 r_max: float | None = None):
-        self.n_items = n_items
-        self.revenues = revenues
-        self.k = k
-        self.spec = spec
-        self.delta = delta
-        self.eps_plan = eps_plan
-        self.pessimism = pessimism
-        self.v_cap = v_cap
-        self.r_max = r_max
-
-    def _config(self) -> LearnConfig:
-        return LearnConfig(
-            k=self.k, delta=self.delta, spec=self.spec,
-            revenues=tuple(float(r) for r in self.revenues),
-            r_max=self.r_max, eps_plan=self.eps_plan,
-            pessimism=self.pessimism, v_cap=self.v_cap,
-        )
-
-    def fit(self, records) -> "RobustAssortmentLearner":
-        items, diag = learn_robust_assortment(records, self.n_items, self._config())
-        self.assortment_ = items
-        self.estimate_ = diag["estimate"]
-        self.plan_ = diag["plan"]
-        self.pessimistic_value_ = diag["pessimistic_value"]
-        self.n_offered_ = diag["n_offered"]
-        return self
-
-    def predict(self) -> tuple[int, ...]:
-        """The learned assortment (fit must have been called)."""
-        check_fitted(self, "assortment_")
-        return self.assortment_
-
-    def score(self, true_model: MnlModel) -> float:
-        """Negative suboptimality against the optimum of ``true_model``."""
-        check_fitted(self, "assortment_")
-        cfg = self._config()
-        return -suboptimality(true_model, self.spec, self.assortment_, self.k,
-                              eps=cfg.resolved_eps())

@@ -399,8 +399,7 @@ def _min_level_slack(fam: _CurveFamily, t: float, k: int, counter: _EvalCounter,
 
 def _level_intervals(fam: _CurveFamily, idx: np.ndarray, t: float, k: int, lam_cap: float):
     """(lefts, rights) of the intervals of (0, lam_cap] between the crossings and,
-    for a constant radius, the points (r - t) / rho where a curve changes sign.
-    Intervals shorter than 1e-14 are left out."""
+    for a constant radius, the points (r - t) / rho where a curve changes sign."""
     breakpoints: list[np.ndarray] = []
     if idx.size > k:
         breakpoints.append(_pair_crossings(fam.v[idx], fam.r[idx], t, fam.shift))
@@ -410,9 +409,7 @@ def _level_intervals(fam: _CurveFamily, idx: np.ndarray, t: float, k: int, lam_c
     pts = np.concatenate(breakpoints) if breakpoints else np.empty(0)
     pts = pts[(pts > 0.0) & (pts < lam_cap)]
     rights = np.array(_dedup_sorted(np.sort(pts)) + [lam_cap])
-    lefts = np.concatenate(([0.0], rights[:-1]))
-    wide = rights - lefts >= 1e-14
-    return lefts[wide], rights[wide]
+    return np.concatenate(([0.0], rights[:-1])), rights
 
 
 def _heavy_set(fam: _CurveFamily, idx: np.ndarray, t: float, k: int) -> np.ndarray:
@@ -557,8 +554,7 @@ def plan_unconstrained(model: MnlModel, spec: RadiusSpec) -> PlanResult:
                       certified_level=best_val, evaluations=n)
 
 
-def plan_uniform_revenue(model: MnlModel, k: int, spec: RadiusSpec,
-                         tol: float = 1e-9) -> PlanResult:
+def plan_uniform_revenue(model: MnlModel, k: int, spec: RadiusSpec) -> PlanResult:
     """Exact planner for uniform revenues: take the k largest attractions."""
     if not 1 <= k <= model.n_items:
         raise ValueError(f"k must lie in 1..{model.n_items}")
@@ -567,7 +563,7 @@ def plan_uniform_revenue(model: MnlModel, k: int, spec: RadiusSpec,
         raise ValueError("plan_uniform_revenue requires (near-)uniform revenues")
     order = sorted(range(1, model.n_items + 1), key=lambda i: (-model.attractions[i - 1], i))
     items = tuple(sorted(order[:k]))
-    val = robust_revenue(model, items, spec, tol=tol, allow_degenerate=True).value
+    val = robust_revenue(model, items, spec, allow_degenerate=True).value
     if val <= 0.0:
         return PlanResult(assortment=(), value=0.0, certified_level=0.0, evaluations=1)
     return PlanResult(assortment=items, value=val, certified_level=val, evaluations=1)

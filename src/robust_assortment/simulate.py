@@ -20,42 +20,22 @@ def generate_dataset(model: MnlModel, schedule, rng: np.random.Generator) -> Off
     """Sample one choice per scheduled assortment from the nominal model.
 
     ``schedule`` is a sequence of assortments or a 2-D int array with one per
-    row; each record keeps its assortment sorted.  One ``rng.random(n)`` call
-    is laid out group-major: the records of each distinct assortment take
-    consecutive draws in record order, and the assortments follow in order of
-    first appearance, so the output is reproducible from the generator state.
+    row; each record keeps its assortment sorted.  Record i turns the i-th
+    draw of one ``rng.random(n)`` call into its choice, so the output is
+    reproducible from the generator state.
     """
     offsets, given = _csr(schedule)
     _, items, bad = _validated(offsets, given, model.n_items)
     if bad is not None:  # as_assortment raises the first bad record's error
         as_assortment(given[offsets[bad]:offsets[bad + 1]].tolist(), model.n_items)
-    n, sizes, batches = offsets.size - 1, np.diff(offsets), []
-    first = np.empty(n, dtype=np.int64)  # each record's first record of the same set
+    sizes = np.diff(offsets)
+    uniforms = rng.random(sizes.size)
+    choices = np.empty(sizes.size, dtype=np.int64)
     for k in np.unique(sizes).tolist():
         rec = np.flatnonzero(sizes == k)
-        sets = items[offsets[rec] + np.arange(k)[:, None]]  # column j: record rec[j]'s set
-        first[rec] = _first_appearance(rec, sets)
-        batches.append((rec, sets))
-    uniforms = np.empty(n)
-    uniforms[np.argsort(first, kind="stable")] = rng.random(n)
-    choices = np.empty(n, dtype=np.int64)
-    for rec, sets in batches:
-        choices[rec] = _draw_choices(model, sets.T, uniforms[rec])
+        sets = items[offsets[rec, None] + np.arange(k)]  # row j: record rec[j]'s set
+        choices[rec] = _draw_choices(model, sets, uniforms[rec])
     return OfflineDataset.from_arrays(offsets, items, choices)
-
-
-def _first_appearance(rec: np.ndarray, sets: np.ndarray) -> np.ndarray:
-    """For records ``rec`` (ascending) whose sorted sets are the columns of the (k, m)
-    matrix ``sets``, the first of them with the same set."""
-    # lexsort is stable and takes its last key as primary: sets in lexicographic order,
-    # equal sets in record order
-    order = np.lexsort(sets[::-1]) if len(sets) else np.arange(rec.size)
-    ordered = sets[:, order]
-    starts = np.ones(rec.size, dtype=bool)
-    starts[1:] = np.any(ordered[:, 1:] != ordered[:, :-1], axis=0)
-    first = np.empty_like(rec)
-    first[order] = rec[order][starts][np.cumsum(starts) - 1]
-    return first
 
 
 def instance_sample_efficiency() -> tuple[MnlModel, callable]:
@@ -86,15 +66,15 @@ def instance_sample_efficiency() -> tuple[MnlModel, callable]:
 
 
 def instance_cardinality(k: int, n_effect: int, uniform: bool,
-                         n_items: int = 50) -> tuple[MnlModel, list[tuple[int, ...]]]:
+                         n_items: int = 50) -> tuple[MnlModel, np.ndarray]:
     """Hard instances probing how the cardinality cap drives the learning rate.
 
     Uniform mode boosts k items by 1/sqrt(n_effect*k) over the common 1/k with
     unit revenues everywhere.  Non-uniform mode boosts by 1/sqrt(n_effect),
     keeps attraction 1/k up to item 4k, then attraction 1 with zero revenue
-    beyond.  The deterministic schedule shows item ceil(j/n_effect) alongside
-    the fixed block {4k+2..5k}, so every revenue-bearing item is offered in
-    exactly n_effect records.
+    beyond.  The deterministic schedule, a (4k*n_effect, k) int64 array,
+    shows item ceil(j/n_effect) alongside the fixed block {4k+2..5k} in row j,
+    so every revenue-bearing item is offered in exactly n_effect records.
     """
     if not (k >= 1 and 5 * k <= n_items):
         raise ValueError(f"need 1 <= k and 5k <= {n_items}")
@@ -111,9 +91,10 @@ def instance_cardinality(k: int, n_effect: int, uniform: bool,
         r[: 4 * k] = 1.0
     model = MnlModel(attractions=v, revenues=r, r_max=1.0)
 
-    block = tuple(range(4 * k + 2, 5 * k + 1))
     # record r shows item ceil(r / n_effect), which sorts before every block item
-    schedule = [(item, *block) for item in range(1, 4 * k + 1) for _ in range(n_effect)]
+    schedule = np.empty((4 * k * n_effect, k), dtype=np.int64)
+    schedule[:, 0] = np.repeat(np.arange(1, 4 * k + 1), n_effect)
+    schedule[:, 1:] = np.arange(4 * k + 2, 5 * k + 1)
     return model, schedule
 
 

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from robust_assortment import (
     DataValidationError,
     MnlModel,
-    NotFittedError,
     OfflineDataset,
-    RankBreakingEstimator,
     generate_dataset,
     lcb_validity_rate,
     load_dataset,
@@ -273,19 +271,3 @@ def test_lcb_validity_rate_single_item(rng):
     ds = generate_dataset(m, [(1,)] * n, rng)
     est = point_and_lcb(rank_breaking(ds, 1), delta=0.01)
     assert m.attractions[0] - est.v_lcb[0] <= 0.05
-
-
-def test_estimator_class_api(rng):
-    m = MnlModel(attractions=np.array([1.0, 0.4]), revenues=np.ones(2))
-    ds = generate_dataset(m, [(1, 2)] * 500, rng)
-    est = RankBreakingEstimator(n_items=2, delta=0.05)
-    assert est.get_params() == {"n_items": 2, "delta": 0.05, "v_cap": 1e9}
-    with pytest.raises(NotFittedError):
-        est.transform()
-    est.fit(ds)
-    assert est.v_lcb_.shape == (2,)
-    np.testing.assert_array_equal(est.transform(), est.v_lcb_)
-    est.set_params(delta=0.2)
-    assert est.get_params()["delta"] == 0.2
-    with pytest.raises(ValueError):
-        est.set_params(bogus=1)

@@ -7,9 +7,7 @@ from robust_assortment import (
     ConstantRadius,
     LearnConfig,
     MnlModel,
-    NotFittedError,
     OfflineDataset,
-    RobustAssortmentLearner,
     VaryingRadius,
     generate_dataset,
     learn_robust_assortment,
@@ -143,20 +141,6 @@ def test_determinism(rng):
     out1 = learn_robust_assortment(ds, 5, cfg)[0]
     out2 = learn_robust_assortment(ds, 5, cfg)[0]
     assert out1 == out2
-
-
-def test_learner_class_api(rng):
-    m, factory = instance_sample_efficiency()
-    ds = generate_dataset(m, factory(20000, rng), rng)
-    learner = RobustAssortmentLearner(15, m.revenues, 3, ConstantRadius(0.1), delta=0.1 / 15)
-    with pytest.raises(NotFittedError):
-        learner.predict()
-    learner.fit(ds)
-    assert learner.predict() == learner.assortment_
-    assert learner.get_params()["k"] == 3
-    assert learner.score(m) <= 0.0
-    clone = RobustAssortmentLearner(**learner.get_params()).fit(ds)
-    assert clone.assortment_ == learner.assortment_
 
 
 def test_pessimism_beats_plugin_on_partial_coverage(rng):

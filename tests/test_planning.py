@@ -233,6 +233,15 @@ def test_level_slack_single_item_against_grid():
     assert grid_min - value <= 1e-6
 
 
+def test_level_slack_keeps_the_first_interval_at_level_zero():
+    # item 5's curve sum tends to -1 only as lam -> 0+: its first crossing lies
+    # near 1e-91, so the first interval (0, x] is far narrower than 1e-14
+    m = MnlModel(attractions=np.array([1.0, 1.0, 1.0, 0.1, 1.0]),
+                 revenues=np.array([0.0, 0.0, 0.0, 0.25, 1.16609094e-92]), r_max=1.0)
+    value, items = evaluate_level_slack(m, 1, VaryingRadius(0.109126783010009, 4.1), 0.0)
+    assert (value, items) == (-1.0, (5,))
+
+
 def test_level_slack_monotone_in_level(rng):
     m = random_model(rng, n_min=3, n_max=8, r_max=1.0)
     spec = random_spec(rng, m)
@@ -460,9 +469,6 @@ def _reference_min_level_slack(fam, t, k, counter, stop_below=None):
     item_ids = idx + 1
     prev = 0.0
     for right in grid:
-        if right - prev < 1e-14:
-            prev = right
-            continue
         mid = 0.5 * (prev + right)
         gm = fam.curve_values(idx, t, mid)
         counter.n += 1
@@ -629,7 +635,7 @@ def _check_screen(fam, t, k, lefts=None, rights=None):
     if lefts is None:
         lam_cap = fam.cap(1.0 + float(fam.v[idx].sum())) or fam.cap(1.0)
         lefts, rights = planning._level_intervals(fam, idx, t, k, lam_cap)
-        assert np.all(rights - lefts >= 1e-14)
+        assert np.all(rights > lefts)
     edges, chosen = planning._level_runs(fam, idx, t, k, lefts, rights)
     assert edges[0] == 0 and edges[-1] == rights.size and np.all(np.diff(edges) > 0)
     candidates = [np.flatnonzero(row).tolist() for row in chosen]

@@ -68,7 +68,7 @@ def test_instance_cardinality_values():
     model, _ = instance_cardinality(1, 1000, uniform=True)
     assert model.attractions[0] == pytest.approx(1.0 + 1.0 / math.sqrt(1000), abs=1e-15)
     model2, schedule2 = instance_cardinality(2, 3, uniform=False)
-    assert schedule2[3] == (2, 10)  # record 4: ceil(4/3) = 2 alongside {4K+2..5K} = {10}
+    assert tuple(schedule2[3]) == (2, 10)  # record 4: ceil(4/3) = 2 alongside {4K+2..5K} = {10}
     assert model2.attractions[1] == pytest.approx(0.5 + 1.0 / math.sqrt(3), abs=1e-15)
     assert model2.revenues[7] == 1.0 and model2.revenues[8] == 0.0
     with pytest.raises(ValueError):
@@ -129,9 +129,15 @@ def _per_group_dataset(model, schedule, rng):
     return list(zip(plan, choices))
 
 
+def _per_record_dataset(model, schedule, rng):
+    """Reference sampler in record order: each record is a group of its own, so it
+    draws one uniform, in record order, by searchsorted on its own set's CDF."""
+    return [record for items in schedule for record in _per_group_dataset(model, [items], rng)]
+
+
 @given(st.data())
 @settings(max_examples=150, deadline=None)
-def test_generate_dataset_matches_per_group_sampler(data):
+def test_generate_dataset_matches_per_record_sampler(data):
     n_items = data.draw(st.integers(1, 60))
     logs = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=n_items, max_size=n_items))
     model = MnlModel(attractions=10.0 ** np.array(logs), revenues=np.ones(n_items))
@@ -147,7 +153,7 @@ def test_generate_dataset_matches_per_group_sampler(data):
     given_schedule = np.array(schedule, dtype=np.int64).reshape(-1, size) if as_array \
         else schedule
     assert generate_dataset(model, given_schedule, rng).records == \
-        _per_group_dataset(model, schedule, ref)
+        _per_record_dataset(model, schedule, ref)
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
