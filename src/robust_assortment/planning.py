@@ -16,9 +16,10 @@ that select the same set form a run.  A fixed set's curve sum is
 quasi-convex on all lam > 0, so one exact step per run, bisecting on the
 derivative sign over the whole run, finds its minimum there.  Each level
 screens its runs in bulk, a block at a time, against a conservative lower
-bound, and runs the exact step only on the runs the bound cannot rule out.
-The varying-radius rule also tries its k heaviest negative curves, one set
-per level, with one exact step over the whole level.
+bound, and runs the exact step only on the runs the bound cannot rule out,
+each up to its own dual cap.  The varying-radius rule also tries its k
+heaviest negative curves, one set per level, screened as one run over the
+whole level.
 """
 from __future__ import annotations
 
@@ -42,9 +43,6 @@ _BLOCK_ENTRIES = 1 << 12
 # A bulk lower bound is loosened by this share of its terms' magnitudes, far
 # above the rounding that separates it from the exact fsum bound.
 _SCREEN_REL = 1e-9
-# Bulk set weights and dual caps are bracketed by these factors around the
-# exact ones: sums of positive terms in another order, and numpy's log1p.
-_BRACKET = np.array([1.0 - 1e-12, 1.0 + 1e-12])
 
 
 @dataclass(frozen=True)
@@ -55,9 +53,8 @@ class PlanResult:
     equals ``value`` for every planner here.  ``evaluations`` counts the
     planner's work: scored sets for the exact planners; for the general one,
     one per probed level, and at a nonzero radius also one per crossing
-    interval's selection, one per exact bound of a candidate set (a run's,
-    or the varying rule's heaviest set) and one per curve-sum or slope
-    evaluation of the exact steps.
+    interval's selection and one per curve-sum or slope evaluation of the
+    exact steps.
     """
 
     assortment: tuple[int, ...]
@@ -103,13 +100,9 @@ class _CurveFamily:
         # the varying rule's feasibility target is -(1 - e^{-rho0}) * (1 + v_tot)
         self.target = math.expm1(-spec.rho0) * spec.weight_all if self.varying else 0.0
 
-    def cap(self, weight_s: float) -> float | None:
-        """Dual upper bound B(S) from the total attraction of S_+ (None if infeasible)."""
-        rho = self.spec.radius_from_weight(weight_s)
-        return None if rho == math.inf else self.r_max / rho
-
     def caps(self, weights: np.ndarray) -> np.ndarray:
-        """``cap`` over an array of weights, within a few ulps; 0 where infeasible."""
+        """Dual upper bounds B(S) = r_max / radius from the total attractions of the
+        sets S_+ (no-purchase included); 0 where the radius is infeasible."""
         with np.errstate(divide="ignore"):
             return self.r_max / self.spec.radii_from_weights(weights)
 
@@ -334,12 +327,10 @@ def _min_level_slack(fam: _CurveFamily, t: float, k: int, counter: _EvalCounter,
     minimum; pruned runs are provably no better than the result.
     """
     idx = fam.active_items(t)
-    weight_full = 1.0 + float(fam.v[idx].sum())
-    cap_full = fam.cap(weight_full)
-    cap_empty = fam.cap(1.0)
-    if cap_empty is None:
+    cap_full, cap_empty = fam.caps(np.array([1.0 + float(fam.v[idx].sum()), 1.0])).tolist()
+    if not cap_empty > 0.0:
         return math.inf, (), False
-    lam_cap = cap_full if cap_full is not None else cap_empty
+    lam_cap = cap_full if cap_full > 0.0 else cap_empty
 
     counter.n += 1
     best_val = _sum_curves([], [], t, fam.shift, cap_empty)
@@ -347,25 +338,22 @@ def _min_level_slack(fam: _CurveFamily, t: float, k: int, counter: _EvalCounter,
     if stop_below is not None and best_val < stop_below:
         return best_val, best_items, True
 
-    def exact_step(cand, prev, right, left_vals) -> bool:
-        """The exact step of candidate ``cand`` over (prev, right], unless its cap
-        check fails or its bound cannot undercut the best; True on an early exit."""
+    def screened_steps(lefts, rights, chosen) -> bool:
+        """The exact step of each run whose bound undercuts the running best, over
+        (left, hi]; True on an early exit."""
         nonlocal best_val, best_items
-        cap_s = fam.cap(1.0 + float(fam.v[idx[cand]].sum()))
-        if cap_s is None or cap_s < prev:
-            return False
-        hi = min(right, cap_s)
-        if hi <= prev and prev > 0.0:
-            return False
-        counter.n += 1
-        if _sum_curves([], [], t, fam.shift, hi) + math.fsum(left_vals) >= best_val:
-            return False
-        vs = fam.v[idx[cand]].tolist()
-        rs = fam.r[idx[cand]].tolist()
-        _, val = _minimize_on(vs, rs, t, fam.shift, prev, hi, counter)
-        if val < best_val:
-            best_val, best_items = val, tuple((idx[cand] + 1).tolist())
-            return stop_below is not None and best_val < stop_below
+        bound, his = _screen_runs(fam, idx, t, lefts, rights, chosen)
+        low, his = bound.tolist(), his.tolist()
+        for i in np.flatnonzero(bound < best_val).tolist():
+            if low[i] >= best_val:  # the best has dropped below it since
+                continue
+            cand = idx[chosen[i]]
+            _, val = _minimize_on(fam.v[cand].tolist(), fam.r[cand].tolist(), t, fam.shift,
+                                  float(lefts[i]), his[i], counter)
+            if val < best_val:
+                best_val, best_items = val, tuple((cand + 1).tolist())
+                if stop_below is not None and best_val < stop_below:
+                    return True
         return False
 
     lefts, rights = _level_intervals(fam, idx, t, k, lam_cap)
@@ -375,24 +363,14 @@ def _min_level_slack(fam: _CurveFamily, t: float, k: int, counter: _EvalCounter,
     rows = max(1, _BLOCK_ENTRIES // max(1, idx.size))
     for start in range(0, run_lefts.size, rows):
         block = slice(start, start + rows)
-        bound, left_vals = _screen_runs(fam, idx, t, run_lefts[block], run_rights[block],
-                                        chosen[block])
-        # only a run whose bound undercuts the running best can change it
-        low = bound.tolist()
-        for i in np.flatnonzero(bound < best_val).tolist():
-            if low[i] >= best_val:  # the best has dropped below it since
-                continue
-            cand = np.flatnonzero(chosen[start + i])
-            if exact_step(cand, float(run_lefts[start + i]), float(run_rights[start + i]),
-                          left_vals[i, cand].tolist()):
-                return best_val, best_items, True
-    if fam.varying and idx.size > k and rights.size:
-        # the varying rule's heavy set gets one exact step over all the intervals:
-        # it is one set per level, and its curve sum is quasi-convex
-        heavy = _heavy_set(fam, idx, t, k)
-        prev = float(lefts[0])
-        left_vals = -fam.v[idx[heavy]] if prev == 0.0 else fam.curve_values(idx[heavy], t, prev)
-        if heavy.size and exact_step(heavy, prev, float(rights[-1]), left_vals.tolist()):
+        if screened_steps(run_lefts[block], run_rights[block], chosen[block]):
+            return best_val, best_items, True
+    if fam.varying and idx.size > k:
+        # the varying rule's heavy set is one run over all the intervals: it is
+        # one set per level, and its curve sum is quasi-convex
+        heavy = np.zeros((1, idx.size), dtype=bool)
+        heavy[0, _heavy_set(fam, idx, t, k)] = True
+        if heavy.any() and screened_steps(lefts[:1], rights[-1:], heavy):
             return best_val, best_items, True
     return best_val, best_items, False
 
@@ -453,28 +431,24 @@ def _screen_runs(fam: _CurveFamily, idx: np.ndarray, t: float,
                  lefts: np.ndarray, rights: np.ndarray, chosen: np.ndarray):
     """Bound the sets of the runs (lefts[j], rights[j]) from below.
 
-    Row j of ``chosen`` masks run j's set over the active curves.  Returns
-    ``bound``, below the exact fsum lower bound of run j's set if that set
-    passes its cap check (inf if it fails, -inf if the check is too close to
-    call), and the curve values at the runs' left ends.  A set's curves do not
-    decrease in lam and its no-purchase term does not rise, so the bound holds
-    on the whole run.
+    Row j of ``chosen`` masks run j's set over the active curves; its dual cap
+    ends the run at hi[j] = min(rights[j], cap).  Returns ``bound``, below the
+    exact fsum lower bound of run j's set on (lefts[j], hi[j]], or inf where
+    the cap is at or below the left end (0, an infeasible radius, included),
+    and ``hi``.  A set's curves do not decrease in lam and its no-purchase
+    term does not rise, so the bound holds on the whole of (lefts[j], hi[j]].
     """
     v = fam.v[idx]
     left_vals = fam.curve_values(idx, t, lefts[:, None])
     left_vals[lefts == 0.0] = -v  # the lam -> 0+ limit of every active curve
-    weight = 1.0 + np.where(chosen, v, 0.0).sum(axis=1)
-    cap_lo, cap_hi = fam.caps(np.outer(_BRACKET, weight)) * _BRACKET[:, None]
-    hi = np.minimum(rights, cap_hi)  # the bound falls as hi grows
+    cap = fam.caps(1.0 + np.where(chosen, v, 0.0).sum(axis=1))
+    hi = np.minimum(rights, cap)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         no_purchase = np.exp(np.minimum(t / hi + fam.shift, _EXP_CAP)) - 1.0
     selected = np.where(chosen, left_vals, 0.0)
     lower = no_purchase + selected.sum(axis=1) - _SCREEN_REL * (
         no_purchase + np.abs(selected).sum(axis=1))  # no_purchase >= 0: t, shift >= 0
-    # the exact step bounds a set iff its cap exceeds the left end
-    passes = cap_lo > lefts
-    unsure = ~passes & (cap_hi > lefts)
-    return np.where(passes, lower, np.where(unsure, -np.inf, np.inf)), left_vals
+    return np.where(cap > lefts, lower, np.inf), hi
 
 
 def evaluate_level_slack(model: MnlModel, k: int, spec: RadiusSpec, level: float):
@@ -513,7 +487,7 @@ def plan_general(model: MnlModel, k: int, spec: RadiusSpec, eps: float) -> PlanR
             return float(scores[take].sum()) >= t, False, tuple(sorted(int(i) + 1 for i in take))
     else:
         fam = _CurveFamily(model.attractions, model.revenues, model.r_max, spec)
-        eps_inner = eps / (4.0 * fam.cap(1.0))
+        eps_inner = eps / (4.0 * float(fam.caps(1.0)))
 
         def probe(t: float):
             slack, items, achieved = _min_level_slack(fam, t, k, counter, stop_below=fam.target)

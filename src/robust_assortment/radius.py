@@ -15,22 +15,17 @@ ZERO_RADIUS = 1e-12
 
 
 class _RadiusRule:
-    """What both rules share; each rule supplies ``radius_from_weight`` (and its array
-    form ``radii_from_weights``) and ``is_zero``."""
+    """What both rules share; each rule supplies ``radii_from_weights`` and ``is_zero``."""
 
     def radius(self, model: MnlModel, items) -> float:
         items = as_assortment(items, model.n_items)
         weight_s = model.assortment_weight(items)
-        rho = self.radius_from_weight(weight_s)
+        rho = float(self.radii_from_weights(weight_s))
         if rho == math.inf:
             raise RadiusInfeasibleError(
                 f"radius undefined for {items}: total attraction {weight_s} leaves no "
                 "conditional mass", items=items)
         return rho
-
-    def dual_cap(self, model: MnlModel, items) -> float:
-        rho = self.radius(model, items)
-        return math.inf if rho < ZERO_RADIUS else model.r_max / rho
 
 
 @dataclass(frozen=True)
@@ -48,9 +43,6 @@ class ConstantRadius(_RadiusRule):
     def is_zero(self) -> bool:
         return self.rho < ZERO_RADIUS
 
-    def radius_from_weight(self, weight_s: float) -> float:
-        return self.rho
-
     def radii_from_weights(self, weights: np.ndarray) -> np.ndarray:
         return np.full(np.shape(weights), self.rho)
 
@@ -65,13 +57,15 @@ def varying_radius_primary(rho0: float, weight_all: float, weight_s: float) -> f
     return rho0 - math.log(arg)
 
 
-def varying_radius_conditional(rho0: float, weight_all: float, weight_s: float) -> float:
-    """Equivalent conditional-prior form: -log(1 - (1 - e^-rho0) * c).
+def varying_radius_conditional(rho0: float, weight_all: float, weight_s):
+    """Equivalent conditional-prior form: -log(1 - (1 - e^-rho0) * c), elementwise
+    over an array of set weights ``weight_s``.
 
     Returns inf where the conditional mass 1 - (1 - e^-rho0) * c is not positive.
     """
-    shrink = -math.expm1(-rho0) * weight_all / weight_s
-    return math.inf if shrink >= 1.0 else -math.log1p(-shrink)
+    shrink = -math.expm1(-rho0) * weight_all / np.asarray(weight_s, dtype=float)
+    with np.errstate(divide="ignore"):
+        return np.where(shrink < 1.0, -np.log1p(-np.minimum(shrink, 1.0)), math.inf)[()]
 
 
 @dataclass(frozen=True)
@@ -105,21 +99,12 @@ class VaryingRadius(_RadiusRule):
         """Total attraction including no-purchase: 1 + v_tot."""
         return 1.0 + self.v_tot
 
-    def radius_from_weight(self, weight_s: float) -> float:
-        """Radius of a set whose attraction plus no-purchase totals ``weight_s``; inf
+    def radii_from_weights(self, weights: np.ndarray) -> np.ndarray:
+        """Radii of sets whose attraction plus no-purchase totals ``weights``; inf
         where the formula has no finite value."""
         if self.is_zero:
-            return 0.0
-        return varying_radius_conditional(self.rho0, self.weight_all, weight_s)
-
-    def radii_from_weights(self, weights: np.ndarray) -> np.ndarray:
-        """``radius_from_weight`` over an array of weights, equal to it within a few
-        ulps (numpy's log1p is not libm's)."""
-        if self.is_zero:
             return np.zeros(np.shape(weights))
-        shrink = -math.expm1(-self.rho0) * self.weight_all / np.asarray(weights, dtype=float)
-        with np.errstate(divide="ignore"):
-            return np.where(shrink < 1.0, -np.log1p(-np.minimum(shrink, 1.0)), math.inf)
+        return varying_radius_conditional(self.rho0, self.weight_all, weights)
 
 
 RadiusSpec = Union[ConstantRadius, VaryingRadius]

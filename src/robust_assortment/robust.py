@@ -33,6 +33,10 @@ _BLOCK_ENTRIES = 1 << 14
 #: Newton stops once a step in log(lam) is below this, relative to the bracket's scale.
 _STEP_TOL = 1e-10
 _MAX_ITER = 200
+#: The reference tilt bisects beta to this width, relative to max(1, beta), in at most
+#: _TILT_MAX_ITER steps.
+_TILT_TOL = 1e-13
+_TILT_MAX_ITER = 200
 
 
 def kl_divergence(q, p) -> float:
@@ -162,8 +166,9 @@ def _dual_batch(P: np.ndarray, R: np.ndarray, rho: np.ndarray, r_max: float):
 
 
 def robust_values(model: MnlModel, sets, spec: RadiusSpec) -> np.ndarray:
-    """Robust revenues of nonempty assortments, given as rows of 1-based item ids
-    right-padded with 0, in one kernel call; infeasible varying radii score 0."""
+    """Robust revenues of assortments, given as rows of 1-based item ids
+    right-padded with 0, in one kernel call; infeasible varying radii and
+    all-zero rows (the empty set) score 0."""
     sets = np.asarray(sets)
     P = np.zeros((sets.shape[0], sets.shape[1] + 1))
     R = np.zeros_like(P)
@@ -171,11 +176,10 @@ def robust_values(model: MnlModel, sets, spec: RadiusSpec) -> np.ndarray:
     P[:, 1:][offered] = model.attractions[sets[offered] - 1]
     R[:, 1:][offered] = model.revenues[sets[offered] - 1]
     # model.assortment_weight's sum, so the radii equal spec.radius's bit for bit
-    weights = [total_weight(row.tolist()) for row in P[:, 1:]]
+    weights = np.array([total_weight(row.tolist()) for row in P[:, 1:]])
     P[:, 0] = V0
-    P /= np.array(weights)[:, None]
-    rho = np.array([spec.radius_from_weight(weight) for weight in weights])
-    return _dual_batch(P, R, rho, model.r_max)[0]
+    P /= weights[:, None]
+    return _dual_batch(P, R, spec.radii_from_weights(weights), model.r_max)[0]
 
 
 @dataclass(frozen=True)
@@ -203,11 +207,13 @@ def _tilted(probs, revs, beta: float):
     return [x / z for x in w]
 
 
-def _tilt_to_kl(probs, revs, rho_val: float, tol: float = 1e-13, max_iter: int = 200):
+def _tilt_to_kl(probs, revs, rho_val: float):
     """Tilt until KL(q_beta || P) = rho_val; returns (q, revenue of q).
 
-    Falls back to the infinite-tilt limit (all mass on zero-revenue choices)
-    when the ball is large enough to contain it.
+    The reference tilt, in plain Python with ``fsum``: the primal oracle's
+    solver, and the certificate of ``robust_revenue`` where the kernel's tilt
+    does not attain the value.  Falls back to the infinite-tilt limit (all
+    mass on zero-revenue choices) when the ball is large enough to contain it.
     """
     nominal = math.fsum(p * r for p, r in zip(probs, revs))
     if rho_val <= 0.0:
@@ -226,8 +232,8 @@ def _tilt_to_kl(probs, revs, rho_val: float, tol: float = 1e-13, max_iter: int =
             break
         hi *= 2.0
     lo = 0.0
-    for _ in range(max_iter):
-        if hi - lo <= tol * max(1.0, hi):
+    for _ in range(_TILT_MAX_ITER):
+        if hi - lo <= _TILT_TOL * max(1.0, hi):
             break
         mid = 0.5 * (lo + hi)
         if kl_at(mid) < rho_val:

@@ -7,12 +7,13 @@ import numpy as np
 
 from .base import RobustAssortmentError
 from .estimation import OfflineDataset, _csr, _validated
-from .model import MnlModel, _draw_choices, as_assortment, nominal_expected_revenue
-from .robust import _tilt_to_kl, kl_divergence
+from .model import MnlModel, _draw_choices, as_assortment
+from .radius import ZERO_RADIUS, ConstantRadius
+from .robust import _solve_block, kl_divergence, robust_values
 
 #: A prior shift tilts by at most beta*(max d - min d) = _TILT_SPAN, so no probability
 #: falls below exp(-_TILT_SPAN) times its nominal one; its KL target stays a relative
-#: _REACH_MARGIN below that tilt's, where bisection can still place it.
+#: _REACH_MARGIN below that tilt's, where the dual kernel can still place it.
 _TILT_SPAN, _REACH_MARGIN = 600.0, 1e-12
 
 
@@ -114,10 +115,11 @@ def perturb_prior(model: MnlModel, kl_bucket: tuple[float, float],
     """Random perturbed environment whose prior shift lands in a KL bucket.
 
     Tilts the prior p0 (no purchase first) along a Gaussian logit direction d
-    to q ~ p0*exp(beta*d), bisecting beta to a KL(q || p0) drawn uniformly
-    from ``kl_bucket = (lo, hi)`` below the direction's reach.  A direction
-    that cannot reach ``lo`` gives way to the tilt toward the least likely
-    choice; a bucket beyond that tilt's reach raises before any draw.
+    to q ~ p0*exp(beta*d), with beta set by the dual kernel so that KL(q || p0)
+    is a target drawn uniformly from ``kl_bucket = (lo, hi)`` below the
+    direction's reach; a target below ``ZERO_RADIUS`` leaves p0 as it is.  A
+    direction that cannot reach ``lo`` gives way to the tilt toward the least
+    likely choice; a bucket beyond that tilt's reach raises before any draw.
     Returns the perturbed model and the realized KL value.
     """
     lo, hi = float(kl_bucket[0]), float(kl_bucket[1])
@@ -132,7 +134,11 @@ def perturb_prior(model: MnlModel, kl_bucket: tuple[float, float],
     reach = _reach(p0, d)
     if reach <= lo:
         d, reach = far, top
-    q, _ = _tilt_to_kl(p0.tolist(), (d.max() - d).tolist(), rng.uniform(lo, min(hi, reach)))
+    target = rng.uniform(lo, min(hi, reach))
+    q = p0
+    if target >= ZERO_RADIUS:  # the kernel's worst-case tilt of revenues max d - d
+        q = _solve_block(np.log(p0)[None, :], (d.max() - d)[None, :], np.array([target]),
+                         np.ptp(d))[2][0]
     perturbed = model_from_prior(q, model.revenues, model.r_max)
     return perturbed, kl_divergence(prior_of(perturbed), p0)
 
@@ -144,39 +150,43 @@ def _reach(p0: np.ndarray, d: np.ndarray) -> float:
 
 
 def random_schedule(n: int, n_items: int, rng: np.random.Generator) -> list[tuple[int, ...]]:
-    """Uniform-random assortment sizes, then uniform-random item subsets."""
-    out = []
-    for _ in range(n):
-        size = int(rng.integers(1, n_items + 1))
-        items = rng.choice(n_items, size=size, replace=False) + 1
-        out.append(tuple(sorted(int(i) for i in items)))
-    return out
+    """Uniform-random assortment sizes, then uniform-random item subsets.
+
+    Record i offers the items whose uniform keys rank below its size among
+    row i of one ``rng.random((n, n_items))`` draw.
+    """
+    sizes = rng.integers(1, n_items + 1, size=n)
+    order = rng.random((n, n_items)).argsort(axis=1)
+    offered = np.empty(order.shape, dtype=bool)
+    np.put_along_axis(offered, order, np.arange(n_items) < sizes[:, None], axis=1)
+    items = (np.nonzero(offered)[1] + 1).tolist()  # row-major: each record's come sorted
+    ends = np.cumsum(sizes).tolist()
+    return [tuple(items[start:end]) for start, end in zip([0] + ends[:-1], ends)]
 
 
 def shift_metrics(assortments_by_rho: dict[float, tuple[int, ...]],
                   perturbed_models, rho_grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Robustness gains of radius-indexed assortments under shifted environments.
 
-    For each perturbed model, evaluates the nominal expected revenue of every
-    learned assortment.  Returns per model the gain, the best improvement over
-    the zero-radius assortment; the base, that assortment's own revenue; and
-    the best radius, the smallest argmax.
+    For each perturbed model, scores the nominal expected revenue of every
+    learned assortment in one kernel call (an empty assortment scores 0).
+    Returns per model the gain, the best improvement over the zero-radius
+    assortment; the base, that assortment's own revenue; and the best radius,
+    the smallest argmax.
     """
-    grid = [float(r) for r in rho_grid]
+    grid = sorted(float(r) for r in rho_grid)
     if 0.0 not in grid:
         raise ValueError("rho_grid must contain 0 (the non-robust anchor)")
+    learned = [assortments_by_rho[rho] for rho in grid]
+    rows = np.zeros((len(grid), max(map(len, learned))), dtype=np.intp)
+    for row, items in zip(rows, learned):
+        row[:len(items)] = items
+    anchor = grid.index(0.0)
     gains, bases, best_radii = [], [], []
     for shifted in perturbed_models:
-        revenue = {
-            rho: nominal_expected_revenue(shifted, assortments_by_rho[rho]) for rho in grid
-        }
-        base = revenue[0.0]
-        best_rho, best_rev = 0.0, base
-        for rho in sorted(grid):
-            if revenue[rho] > best_rev:
-                best_rev, best_rho = revenue[rho], rho
-        gain = best_rev - base
-        gains.append(gain)
-        bases.append(base)
-        best_radii.append(best_rho)
+        revenue = robust_values(shifted, rows, ConstantRadius(0.0))
+        best = int(np.argmax(revenue))  # the first, so the smallest radius, of the best
+        gains.append(revenue[best] - revenue[anchor])
+        bases.append(revenue[anchor])
+        best_radii.append(grid[best])
     return np.array(gains), np.array(bases), np.array(best_radii)

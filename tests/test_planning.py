@@ -438,16 +438,21 @@ def test_exact_planners_match_primal_oracle_on_ties_and_zero_revenues(inputs):
         assert abs(exact.value - value) <= 1e-9
 
 
+def _cap(fam, weight):
+    """The dual cap of one set weight (no-purchase included); 0 where infeasible."""
+    return float(fam.caps(np.array([weight]))[0])
+
+
 def _reference_min_level_slack(fam, t, k, counter, stop_below=None):
     """Reference walk: every interval selects by lexsort, bounds by fsum and runs
     the exact step in turn.  ``_check_slack_contract`` holds the run walk to it."""
     idx = fam.active_items(t)
     weight_full = 1.0 + float(fam.v[idx].sum())
-    cap_full = fam.cap(weight_full)
-    cap_empty = fam.cap(1.0)
-    if cap_empty is None:
+    cap_full = _cap(fam, weight_full)
+    cap_empty = _cap(fam, 1.0)
+    if cap_empty == 0.0:
         return math.inf, (), False
-    lam_cap = cap_full if cap_full is not None else cap_empty
+    lam_cap = cap_full or cap_empty
 
     counter.n += 1
     best_val = _sum_curves([], [], t, fam.shift, cap_empty)
@@ -482,8 +487,8 @@ def _reference_min_level_slack(fam, t, k, counter, stop_below=None):
                 candidates.append(heavy)
         for cand in candidates:
             weight_s = 1.0 + float(fam.v[idx[cand]].sum()) if cand else 1.0
-            cap_s = fam.cap(weight_s)
-            if cap_s is None or cap_s < prev:
+            cap_s = _cap(fam, weight_s)
+            if cap_s == 0.0 or cap_s < prev:
                 continue
             hi = min(right, cap_s)
             if hi <= prev and prev > 0.0:
@@ -545,8 +550,8 @@ def _check_slack_contract(fam, t, k, stop_below):
     assert len(items) <= k and all(fam.r[i - 1] >= t for i in items)
     positions = [i - 1 for i in items]
     vs, rs = fam.v[positions].tolist(), fam.r[positions].tolist()
-    cap_s = fam.cap(1.0 + math.fsum(vs))
-    assert cap_s is not None
+    cap_s = _cap(fam, 1.0 + math.fsum(vs))
+    assert cap_s > 0.0
     _, attained = _minimize_on(vs, rs, t, fam.shift, 0.0, cap_s, _EvalCounter())
     assert attained <= value + 1e-12 * max(1.0, abs(value))
     return result
@@ -600,7 +605,7 @@ def test_bulk_screen_matches_the_reference_loop_across_blocks(monkeypatch):
         k = int(rng.integers(1, 4))
         level = float(rng.uniform(0.0, 0.6))
         idx = fam.active_items(level)
-        lam_cap = fam.cap(1.0 + float(fam.v[idx].sum())) or fam.cap(1.0)
+        lam_cap = _cap(fam, 1.0 + float(fam.v[idx].sum())) or _cap(fam, 1.0)
         lefts, rights = planning._level_intervals(fam, idx, level, k, lam_cap)
         seen = {}
         for entries in (1, 3 * model.n_items, 1 << 14):
@@ -626,14 +631,14 @@ def _duplicated_instance(rng, n_distinct, copies):
 
 def _check_screen(fam, t, k, lefts=None, rights=None):
     """Every member interval of a run selects the run's set as lexsort does;
-    consecutive runs differ; each run's bound is below the exact fsum bound of
-    its set if that set passes its cap check over the run, and is finite only
-    if it passes.  For the varying rule, every member interval's k heaviest
-    negative curves are the level's heavy set, unless a revenue gap underflows
-    a curve to -0 there."""
+    consecutive runs differ; each run's hi is min(right, cap) for its set's cap
+    from ``caps``; its bound is below the exact fsum bound of its set on
+    (left, hi] where the cap exceeds the left end, and inf elsewhere.  For the
+    varying rule, every member interval's k heaviest negative curves are the
+    level's heavy set, unless a revenue gap underflows a curve to -0 there."""
     idx = fam.active_items(t)
     if lefts is None:
-        lam_cap = fam.cap(1.0 + float(fam.v[idx].sum())) or fam.cap(1.0)
+        lam_cap = _cap(fam, 1.0 + float(fam.v[idx].sum())) or _cap(fam, 1.0)
         lefts, rights = planning._level_intervals(fam, idx, t, k, lam_cap)
         assert np.all(rights > lefts)
     edges, chosen = planning._level_runs(fam, idx, t, k, lefts, rights)
@@ -654,18 +659,18 @@ def _check_screen(fam, t, k, lefts=None, rights=None):
                 assert heavy == sorted([j for j in by_weight if gm[j] < 0.0][:k])
 
     run_lefts, run_rights = lefts[edges[:-1]], rights[edges[1:] - 1]
-    bound, left_vals = planning._screen_runs(fam, idx, t, run_lefts, run_rights, chosen)
+    bound, his = planning._screen_runs(fam, idx, t, run_lefts, run_rights, chosen)
     for run, (prev, right) in enumerate(zip(run_lefts.tolist(), run_rights.tolist())):
         cand = candidates[run]
-        cap_s = fam.cap(1.0 + float(fam.v[idx[cand]].sum()))
-        if cap_s is not None and cap_s > prev:
+        cap_s = _cap(fam, 1.0 + np.where(chosen[run], fam.v[idx], 0.0).sum())
+        assert his[run] == min(right, cap_s)
+        if cap_s > prev:
             left = [-x for x in fam.v[idx[cand]]] if prev == 0.0 else fam.curve_values(
                 idx[cand], t, prev)
-            assert np.array_equal(left_vals[run, cand], left)
-            assert bound[run] <= (_sum_curves([], [], t, fam.shift, min(right, cap_s))
+            assert bound[run] <= (_sum_curves([], [], t, fam.shift, his[run])
                                   + math.fsum(left))
         else:
-            assert not math.isfinite(bound[run])
+            assert bound[run] == math.inf
 
 
 @settings(max_examples=200, deadline=None)
@@ -698,7 +703,7 @@ def test_screen_cap_checks_at_float_neighbours_of_the_cap():
                              model.v_tot)
         fam = _CurveFamily(model.attractions, model.revenues, model.r_max, spec)
         # at level 0 with k = n, every item is selected on every interval
-        cap = fam.cap(1.0 + float(fam.v.sum()))
+        cap = _cap(fam, 1.0 + float(fam.v.sum()))
         for left in cap * (1.0 + steps):
             _check_screen(fam, 0.0, n, np.array([left]), np.array([2.0 * left]))
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from robust_assortment import ConstantRadius, MnlModel, VaryingRadius, radius
+from robust_assortment.planning import _CurveFamily
 from robust_assortment.radius import varying_radius_conditional, varying_radius_primary
 
 from conftest import random_assortment, random_model
@@ -77,9 +78,18 @@ def test_admissibility_enforced():
 
 
 def test_dual_cap():
+    # the planner's dual caps r_max / radius, 0 where the radius is infeasible
     m = MnlModel(attractions=np.array([1.0, 1.0]), revenues=np.array([2.0, 1.0]), r_max=2.0)
-    assert ConstantRadius(0.5).dual_cap(m, (1, 2)) == pytest.approx(4.0)
-    assert math.isinf(ConstantRadius(0.0).dual_cap(m, (1,)))
+    weights = np.array([m.assortment_weight((1, 2)), m.assortment_weight((1,))])
+    fam = _CurveFamily(m.attractions, m.revenues, m.r_max, ConstantRadius(0.5))
+    assert fam.caps(weights).tolist() == [4.0, 4.0]
+    with pytest.raises(ValueError):
+        _CurveFamily(m.attractions, m.revenues, m.r_max, ConstantRadius(0.0))
     spec = VaryingRadius(0.1, m.v_tot)
-    cap = spec.dual_cap(m, (1, 2))
-    assert cap == pytest.approx(m.r_max / radius(spec, m, (1, 2)))
+    fam = _CurveFamily(m.attractions, m.revenues, m.r_max, spec)
+    # below (1 - e^-rho0) * (1 + v_tot) no set weight leaves conditional mass
+    infeasible = 0.5 * -math.expm1(-spec.rho0) * spec.weight_all
+    caps = fam.caps(np.append(weights, infeasible))
+    assert caps[0] == m.r_max / radius(spec, m, (1, 2))
+    assert caps[1] == m.r_max / radius(spec, m, (1,))
+    assert caps[2] == 0.0

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from robust_assortment import (
     sample_choice,
     shift_metrics,
 )
-from robust_assortment.simulate import model_from_prior, prior_of
+from robust_assortment.simulate import _reach, model_from_prior, prior_of
 
 
 def test_instance_sample_efficiency_model_values():
@@ -228,11 +229,34 @@ def test_perturb_prior_lands_in_bucket(log_attractions, lo_share, width, seed):
         with pytest.raises(RobustAssortmentError, match="unreachable"):
             perturb_prior(m, bucket, rng)
         return
+    twin = copy.deepcopy(rng)
     shifted, kl = perturb_prior(m, bucket, rng)
     assert np.all(shifted.attractions > 0.0) and np.all(np.isfinite(shifted.attractions))
     recomputed = kl_divergence(prior_of(shifted), prior_of(m))
     assert recomputed == kl
     assert bucket[0] <= recomputed < bucket[1]
+    # the target the generator drew, from its twin: the direction, then the draw
+    p0 = prior_of(m)
+    reach = _reach(p0, twin.standard_normal(p0.size))
+    if reach <= lo:
+        reach = _reach(p0, (np.arange(p0.size) == np.argmin(p0)).astype(float))
+    target = twin.uniform(lo, min(bucket[1], reach))
+    assert abs(kl - target) <= 1e-8 * target
+
+
+def test_perturb_prior_zero_target_returns_the_nominal_model():
+    m = MnlModel(attractions=np.array([0.5, 1.5, 1.0]), revenues=np.ones(3))
+
+    class ZeroTarget:
+        def standard_normal(self, size):
+            return np.linspace(-1.0, 1.0, size)
+
+        def uniform(self, low, high):
+            return low
+
+    shifted, kl = perturb_prior(m, (0.0, 1.0), ZeroTarget())
+    np.testing.assert_allclose(shifted.attractions, m.attractions, rtol=1e-15)
+    assert kl == pytest.approx(0.0, abs=1e-15)
 
 
 def test_perturb_prior_unreachable_bucket_draws_nothing():
