@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import datetime
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -24,11 +23,11 @@ from .learning import LearnConfig, _plan_on_estimate, learn_robust_assortment, s
 from .model import MnlModel, nominal_expected_revenue
 from .planning import plan, plan_unconstrained
 from .radius import ConstantRadius, VaryingRadius
-from .robust import kl_divergence
 from .simulate import (
     generate_dataset,
     instance_cardinality,
     instance_sample_efficiency,
+    model_from_prior,
     perturb_prior,
     prior_of,
     random_schedule,
@@ -36,7 +35,6 @@ from .simulate import (
 )
 
 SCHEMA = "robust-assort/1"
-ENV_THREADS = "ROBUST_ASSORT_THREADS"
 
 EXPERIMENT_NAMES = ("exp1", "exp2", "exp3", "fig1-demo", "fig2-demo")
 
@@ -120,10 +118,7 @@ class ResultTable:
 
 
 def _worker_count(cfg: ExperimentConfig) -> int:
-    if cfg.workers is not None:
-        return max(1, cfg.workers)
-    env = os.environ.get(ENV_THREADS)
-    return max(1, int(env)) if env else 1
+    return max(1, cfg.workers or 1)
 
 
 def _map_tasks(fn, tasks: list, workers: int) -> list:
@@ -367,47 +362,38 @@ def run_fig2_demo(cfg: ExperimentConfig) -> ResultTable:
     )
 
 
+#: fig1's environment: risky high-revenue low-attraction items beside safe
+#: low-revenue ones, so the robust and nominal plans genuinely differ.
+_FIG1_MODEL = MnlModel(
+    attractions=np.array([0.15, 0.2, 0.25, 0.8, 1.0, 1.2]),
+    revenues=np.array([1.0, 0.95, 0.9, 0.45, 0.4, 0.35]),
+    r_max=1.0,
+)
+
+
+def _fig1_shift(model: MnlModel, a1: float, a2: float) -> MnlModel:
+    """``model`` with its prior tilted by a1 toward no purchase and by a2 toward
+    low revenue; the corner (1, 1) of _FIG1_MODEL lies within KL 0.1 of it."""
+    d1 = np.zeros(model.n_items + 1)
+    d1[0] = 1.0
+    d2 = np.concatenate(([0.0], model.r_max - model.revenues))
+    logits = np.log(prior_of(model)) + a1 * d1 + a2 * d2
+    prior = np.exp(logits - logits.max())
+    return model_from_prior(prior / prior.sum(), model.revenues, model.r_max)
+
+
 def run_fig1_demo(cfg: ExperimentConfig) -> ResultTable:
     """Revenue surface of robust vs non-robust assortments under two shift axes."""
-    n = 6
-    # risky high-revenue low-attraction items alongside safe low-revenue ones,
-    # so the robust and nominal plans genuinely differ
-    model = MnlModel(
-        attractions=np.array([0.15, 0.2, 0.25, 0.8, 1.0, 1.2]),
-        revenues=np.array([1.0, 0.95, 0.9, 0.45, 0.4, 0.35]),
-        r_max=1.0,
-    )
+    model = _FIG1_MODEL
     bound = math.log1p(1.0 / model.v_tot)
     spec = VaryingRadius(0.5 * bound, model.v_tot)
     s_robust = plan_unconstrained(model, spec).assortment
-    s_nominal = plan(model, n, ConstantRadius(0.0)).assortment
-
-    p0 = prior_of(model)
-    # two adversarial tilt directions: toward no purchase, toward low revenue
-    d1 = np.zeros(n + 1)
-    d1[0] = 1.0
-    d2 = np.concatenate(([0.0], model.r_max - model.revenues))
-
-    def shifted_model(a1: float, a2: float) -> MnlModel:
-        logits = np.log(p0) + a1 * d1 + a2 * d2
-        prior = np.exp(logits - logits.max())
-        prior /= prior.sum()
-        from .simulate import model_from_prior
-
-        return model_from_prior(prior, model.revenues, model.r_max)
-
-    # scale the axes so the corner shifts stay within KL 0.1 of nominal
-    scale = 1.0
-    for _ in range(60):
-        corner = prior_of(shifted_model(scale, scale))
-        if kl_divergence(corner, p0) <= 0.1:
-            break
-        scale *= 0.8
+    s_nominal = plan(model, model.n_items, ConstantRadius(0.0)).assortment
     detail = []
     grid = np.linspace(0.0, 1.0, 11)
     for a1 in grid:
         for a2 in grid:
-            shifted = shifted_model(scale * a1, scale * a2)
+            shifted = _fig1_shift(model, a1, a2)
             detail.append((
                 round(float(a1), 3), round(float(a2), 3),
                 nominal_expected_revenue(shifted, s_nominal),

@@ -18,7 +18,7 @@ from .estimation import point_and_lcb, rank_breaking
 from .model import MnlModel, as_assortment
 from .planning import PlanResult, plan
 from .radius import RadiusSpec
-from .robust import robust_revenue
+from .robust import robust_revenue, robust_values
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ def pessimistic_value(v_est, cfg: LearnConfig, items) -> float:
     )
     remap = {int(orig) + 1: pos + 1 for pos, orig in enumerate(keep)}
     sub_items = tuple(sorted(remap[i] for i in items))
-    return robust_revenue(sub, sub_items, cfg.spec, allow_degenerate=True).value
+    return float(robust_values(sub, [sub_items], cfg.spec)[0])
 
 
 def suboptimality(true_model: MnlModel, spec: RadiusSpec, s_hat, k: int,

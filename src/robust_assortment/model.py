@@ -13,15 +13,21 @@ from .base import InvalidAssortmentError, ModelFormatError, NumericRangeError
 V0 = 1.0
 
 
-def total_weight(attractions) -> float:
-    """No-purchase attraction plus the exactly rounded sum of ``attractions``."""
-    try:
-        total = V0 + math.fsum(attractions)
-    except OverflowError as exc:
-        raise NumericRangeError("total attraction overflowed the float range") from exc
-    if not math.isfinite(total):
+def set_weights(rows) -> np.ndarray:
+    """Total attraction W(S) = V0 + v(S) of each row of attractions.
+
+    Each row is summed left to right from V0, as the last column of a
+    ``cumsum``, so a zero adds nothing: a boolean-masked row, a zero-padded
+    row and a compact row of the same items in ascending order give the same
+    bits.  (``np.sum`` would not: its pairwise blocks depend on the row width.)
+    """
+    rows = np.asarray(rows, dtype=float)
+    rows = np.concatenate((np.full((len(rows), 1), V0), rows), axis=1)
+    with np.errstate(over="ignore"):
+        totals = np.cumsum(rows, axis=1)[:, -1]
+    if not np.isfinite(totals).all():
         raise NumericRangeError("total attraction overflowed the float range")
-    return total
+    return totals
 
 
 def as_assortment(items, n_items: int) -> tuple[int, ...]:
@@ -81,7 +87,7 @@ class MnlModel:
 
     def assortment_weight(self, items) -> float:
         """Total attraction of ``items`` plus the no-purchase option."""
-        return total_weight(self.attractions[i - 1] for i in items)
+        return float(choice_rows(self, [tuple(items)])[2][0])
 
     def to_dict(self) -> dict:
         return {
@@ -143,13 +149,32 @@ class ChoiceDistribution:
         return {"support": list(self.support), "probs": self.probs.tolist()}
 
 
+def choice_rows(model: MnlModel, sets):
+    """Conditional MNL choice rows of assortments, one per row of ``sets``.
+
+    ``sets`` holds 1-based item ids in any order, padded with 0.  Returns
+    (P, R, weights): row i of P holds set i's choice probabilities, no
+    purchase first and then its items in ascending id order, zero-padded; R
+    holds the revenues aligned with P; and ``weights`` the sets' total
+    attractions from ``set_weights``.
+    """
+    ids = np.asarray(sets, dtype=np.intp)
+    pad = model.n_items + 1  # padding sorts last as id n + 1, whose entries are 0
+    ids = np.sort(np.where(ids > 0, ids, pad), axis=1)
+    P = np.empty((ids.shape[0], ids.shape[1] + 1))
+    P[:, 0] = V0
+    P[:, 1:] = np.concatenate(([0.0], model.attractions, [0.0]))[ids]
+    weights = set_weights(P[:, 1:])
+    P /= weights[:, None]
+    R = np.zeros_like(P)
+    R[:, 1:] = np.concatenate(([0.0], model.revenues, [0.0]))[ids]
+    return P, R, weights
+
+
 def choice_probabilities(model: MnlModel, items) -> ChoiceDistribution:
     """Conditional MNL choice distribution over ``items`` plus no-purchase."""
     items = as_assortment(items, model.n_items)
-    weights = [V0] + [float(model.attractions[i - 1]) for i in items]
-    total = model.assortment_weight(items)
-    probs = np.array([w / total for w in weights])
-    return ChoiceDistribution(support=(0, *items), probs=probs)
+    return ChoiceDistribution(support=(0, *items), probs=choice_rows(model, [items])[0][0])
 
 
 def expected_revenue(items, dist: ChoiceDistribution, model: MnlModel) -> float:
@@ -163,11 +188,15 @@ def expected_revenue(items, dist: ChoiceDistribution, model: MnlModel) -> float:
     ))
 
 
+def nominal_revenues(P: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Expected revenue of each choice row: the dual kernel's zero-radius value."""
+    return np.einsum("ij,ij->i", P, R)
+
+
 def nominal_expected_revenue(model: MnlModel, items) -> float:
     """Expected revenue of ``items`` under the model's own choice probabilities."""
-    items = as_assortment(items, model.n_items)
-    total = model.assortment_weight(items)
-    return float(math.fsum(model.attractions[i - 1] * model.revenues[i - 1] for i in items) / total)
+    P, R, _ = choice_rows(model, [as_assortment(items, model.n_items)])
+    return float(nominal_revenues(P, R)[0])
 
 
 def _draw_choices(model: MnlModel, rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:

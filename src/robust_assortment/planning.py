@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MnlModel
+from .model import MnlModel, set_weights
 from .radius import RadiusSpec
-from .robust import robust_revenue, robust_values
+from .robust import robust_values
 
 _EXP_CAP = 700.0  # exp argument clip; saturated values are never minimizers
 _LEAST_LAM = math.ulp(0.0)  # the least positive float
@@ -101,8 +101,8 @@ class _CurveFamily:
         self.target = math.expm1(-spec.rho0) * spec.weight_all if self.varying else 0.0
 
     def caps(self, weights: np.ndarray) -> np.ndarray:
-        """Dual upper bounds B(S) = r_max / radius from the total attractions of the
-        sets S_+ (no-purchase included); 0 where the radius is infeasible."""
+        """Dual upper bounds B(S) = r_max / radius from the sets' ``set_weights``;
+        0 where the radius is infeasible."""
         with np.errstate(divide="ignore"):
             return self.r_max / self.spec.radii_from_weights(weights)
 
@@ -133,10 +133,8 @@ def _sum_slopes(vs, rs, t: float, shift: float, lam: float) -> float:
     return acc
 
 
-def _limit_at_zero(vs, rs, t: float, shift: float) -> float:
-    """lam -> 0+ limit of the curve sum; finite only when t == 0."""
-    if t > 0.0:
-        return math.inf
+def _limit_at_zero(vs, rs, shift: float) -> float:
+    """lam -> 0+ limit of the curve sum at level t == 0."""
     acc = math.expm1(shift)
     for v, r in zip(vs, rs):
         acc += v * math.expm1(shift) if r == 0.0 else -v
@@ -154,7 +152,7 @@ def _minimize_on(vs, rs, t, shift, lo, hi, counter: _EvalCounter):
                 counter.n += 1
                 return hi, _sum_curves(vs, rs, t, shift, hi)
             # slope is nonnegative throughout at t == 0: minimum at the origin
-            return 0.0, _limit_at_zero(vs, rs, t, shift)
+            return 0.0, _limit_at_zero(vs, rs, shift)
         # the slope diverges to -inf as lam -> 0+ when t > 0: step lo down by
         # factors 2, 4, 16, ... to the least subnormal, and keep the step above
         lo = hi
@@ -327,7 +325,8 @@ def _min_level_slack(fam: _CurveFamily, t: float, k: int, counter: _EvalCounter,
     minimum; pruned runs are provably no better than the result.
     """
     idx = fam.active_items(t)
-    cap_full, cap_empty = fam.caps(np.array([1.0 + float(fam.v[idx].sum()), 1.0])).tolist()
+    # the weights of all active items and of the empty set, as masked rows
+    cap_full, cap_empty = fam.caps(set_weights([fam.v[idx], np.zeros(idx.size)])).tolist()
     if not cap_empty > 0.0:
         return math.inf, (), False
     lam_cap = cap_full if cap_full > 0.0 else cap_empty
@@ -441,7 +440,7 @@ def _screen_runs(fam: _CurveFamily, idx: np.ndarray, t: float,
     v = fam.v[idx]
     left_vals = fam.curve_values(idx, t, lefts[:, None])
     left_vals[lefts == 0.0] = -v  # the lam -> 0+ limit of every active curve
-    cap = fam.caps(1.0 + np.where(chosen, v, 0.0).sum(axis=1))
+    cap = fam.caps(set_weights(np.where(chosen, v, 0.0)))
     hi = np.minimum(rights, cap)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         no_purchase = np.exp(np.minimum(t / hi + fam.shift, _EXP_CAP)) - 1.0
@@ -487,7 +486,7 @@ def plan_general(model: MnlModel, k: int, spec: RadiusSpec, eps: float) -> PlanR
             return float(scores[take].sum()) >= t, False, tuple(sorted(int(i) + 1 for i in take))
     else:
         fam = _CurveFamily(model.attractions, model.revenues, model.r_max, spec)
-        eps_inner = eps / (4.0 * float(fam.caps(1.0)))
+        eps_inner = eps / (4.0 * float(fam.caps(set_weights(np.empty((1, 0))))[0]))
 
         def probe(t: float):
             slack, items, achieved = _min_level_slack(fam, t, k, counter, stop_below=fam.target)
@@ -499,7 +498,7 @@ def plan_general(model: MnlModel, k: int, spec: RadiusSpec, eps: float) -> PlanR
     while True:
         feasible, near, items = probe(t)
         if items and items != best_items:
-            val = robust_revenue(model, items, spec, allow_degenerate=True).value
+            val = float(robust_values(model, [items], spec)[0])
             if val > best_val:
                 best_items, best_val = items, val
         if feasible:
@@ -537,7 +536,7 @@ def plan_uniform_revenue(model: MnlModel, k: int, spec: RadiusSpec) -> PlanResul
         raise ValueError("plan_uniform_revenue requires (near-)uniform revenues")
     order = sorted(range(1, model.n_items + 1), key=lambda i: (-model.attractions[i - 1], i))
     items = tuple(sorted(order[:k]))
-    val = robust_revenue(model, items, spec, allow_degenerate=True).value
+    val = float(robust_values(model, [items], spec)[0])
     if val <= 0.0:
         return PlanResult(assortment=(), value=0.0, certified_level=0.0, evaluations=1)
     return PlanResult(assortment=items, value=val, certified_level=val, evaluations=1)

@@ -14,23 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import RadiusInfeasibleError
-from .model import (
-    ChoiceDistribution,
-    MnlModel,
-    V0,
-    as_assortment,
-    choice_probabilities,
-    nominal_expected_revenue,
-    total_weight,
-)
+from .model import ChoiceDistribution, MnlModel, as_assortment, choice_rows, nominal_revenues
 from .radius import ZERO_RADIUS, RadiusSpec
 
 #: Lower end of the dual search bracket, relative to r_max.
 _LAMBDA_FLOOR = 1e-12
 #: Matrix entries the dual kernel works on at once, which bounds its scratch memory.
 _BLOCK_ENTRIES = 1 << 14
-#: Newton stops once a step in log(lam) is below this, relative to the bracket's scale.
+#: Newton stops once a step in log(lam) is below this.  The tilt's KL error is
+#: first-order in the last step, so the bound is absolute, not relative to log(lam).
 _STEP_TOL = 1e-10
 _MAX_ITER = 200
 #: The reference tilt bisects beta to this width, relative to max(1, beta), in at most
@@ -69,18 +61,12 @@ def _moments(logp: np.ndarray, R: np.ndarray, lam: np.ndarray):
     return log_m, q, -log_m - mean / lam, np.einsum("ij,ij,ij->i", q, dev, dev)
 
 
-def _revenues_of(model: MnlModel, items) -> np.ndarray:
-    """Revenues aligned with the choice support (0, *items)."""
-    return np.concatenate(([0.0], model.revenues[np.asarray(items, dtype=np.intp) - 1]))
-
-
 def dual_objective(model: MnlModel, items, lam: float, rho_val: float) -> float:
     """Dual criterion -lam*log E_{P(.|S)}[exp(-r/lam)] - lam*rho_val at lam > 0."""
     if not lam > 0.0:
         raise ValueError("lam must be positive")
-    dist = choice_probabilities(model, items)
-    revs = _revenues_of(model, dist.support[1:])
-    log_m = _moments(_log_probs(dist.probs[None, :]), revs[None, :], np.array([float(lam)]))[0]
+    P, R, _ = choice_rows(model, [as_assortment(items, model.n_items)])
+    log_m = _moments(_log_probs(P), R, np.array([float(lam)]))[0]
     return -lam * float(log_m[0]) - lam * rho_val
 
 
@@ -110,7 +96,6 @@ def _solve_block(logp: np.ndarray, R: np.ndarray, rho: np.ndarray, r_max: float)
     pick = pick[~settled]
     u, lam, log_m, q, kl, var = (a[pick] for a in (u, lam, log_m, q, kl, var))
     idx, logp, R, rho, lo, hi = (a[~settled] for a in (idx, logp, R, rho, lo, hi))
-    tol = _STEP_TOL * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
     for _ in range(_MAX_ITER):
         if idx.size == 0:
             break
@@ -122,15 +107,14 @@ def _solve_block(logp: np.ndarray, R: np.ndarray, rho: np.ndarray, r_max: float)
         # the Newton step is num/var; it is taken only when it stays inside the bracket
         newton = pos & (np.abs(num) < var * (hi - lo))
         step = np.divide(num, var, out=np.zeros(idx.size), where=newton)
-        stop = (newton & (np.abs(step) <= tol)) | (hi - lo <= tol)
+        stop = (newton & (np.abs(step) <= _STEP_TOL)) | (hi - lo <= _STEP_TOL)
         u_next = u + step
         u_next = np.where(newton & (u_next > lo) & (u_next < hi), u_next, 0.5 * (lo + hi))
         if stop.any():
             for dst, src in zip(out, (lam, log_m, q)):
                 dst[idx[stop]] = src[stop]
             go = ~stop
-            u_next, idx, logp, R, rho, lo, hi, tol = (
-                a[go] for a in (u_next, idx, logp, R, rho, lo, hi, tol))
+            u_next, idx, logp, R, rho, lo, hi = (a[go] for a in (u_next, idx, logp, R, rho, lo, hi))
             if idx.size == 0:
                 break
         u = u_next
@@ -151,7 +135,7 @@ def _dual_batch(P: np.ndarray, R: np.ndarray, rho: np.ndarray, r_max: float):
     batch size.  Radii below ``ZERO_RADIUS`` give the nominal revenue (lambda
     inf, tilt P); negative optima are floored to 0 with lambda_star = 0.
     """
-    values = np.einsum("ij,ij->i", P, R)
+    values = nominal_revenues(P, R)
     lam_star = np.full(rho.size, math.inf)
     tilt = P.copy()
     rows = np.nonzero(rho >= ZERO_RADIUS)[0]
@@ -166,19 +150,10 @@ def _dual_batch(P: np.ndarray, R: np.ndarray, rho: np.ndarray, r_max: float):
 
 
 def robust_values(model: MnlModel, sets, spec: RadiusSpec) -> np.ndarray:
-    """Robust revenues of assortments, given as rows of 1-based item ids
-    right-padded with 0, in one kernel call; infeasible varying radii and
-    all-zero rows (the empty set) score 0."""
-    sets = np.asarray(sets)
-    P = np.zeros((sets.shape[0], sets.shape[1] + 1))
-    R = np.zeros_like(P)
-    offered = sets > 0
-    P[:, 1:][offered] = model.attractions[sets[offered] - 1]
-    R[:, 1:][offered] = model.revenues[sets[offered] - 1]
-    # model.assortment_weight's sum, so the radii equal spec.radius's bit for bit
-    weights = np.array([total_weight(row.tolist()) for row in P[:, 1:]])
-    P[:, 0] = V0
-    P /= weights[:, None]
+    """Robust revenues of assortments, given as rows of 1-based item ids padded
+    with 0 (see ``choice_rows``), in one kernel call; infeasible varying radii
+    and all-zero rows (the empty set) score 0."""
+    P, R, weights = choice_rows(model, sets)
     return _dual_batch(P, R, spec.radii_from_weights(weights), model.r_max)[0]
 
 
@@ -253,13 +228,10 @@ def primal_robust_revenue_oracle(model: MnlModel, items, rho_val: float) -> floa
     nondecreasing in the tilt parameter, so bisection makes the constraint
     active (or the infinite-tilt limit applies when the ball contains it).
     """
-    items = as_assortment(items, model.n_items)
     if rho_val < 0.0:
         raise ValueError("rho_val must be nonnegative")
-    dist = choice_probabilities(model, items)
-    revs = [0.0] + [float(model.revenues[i - 1]) for i in items]
-    _, value = _tilt_to_kl(list(dist.probs), revs, rho_val)
-    return value
+    P, R, _ = choice_rows(model, [as_assortment(items, model.n_items)])
+    return _tilt_to_kl(P[0].tolist(), R[0].tolist(), rho_val)[1]
 
 
 def robust_revenue(
@@ -272,33 +244,26 @@ def robust_revenue(
     """Robust expected revenue of ``items`` under the given radius rule.
 
     Solves the dual sup over lambda in [0, r_max/radius] as a batch of one in
-    the dual kernel and attaches a worst-case certificate inside the ball.  A
-    radius below ``ZERO_RADIUS`` degenerates to the nominal expected revenue;
-    with ``allow_degenerate`` an infeasible varying radius gives value 0 and
-    a certificate with all mass on zero-revenue choices.
+    the dual kernel, as ``robust_values`` does, and attaches a worst-case
+    certificate inside the ball.  A radius below ``ZERO_RADIUS`` gives the
+    nominal expected revenue with lambda_star inf and certificate P; with
+    ``allow_degenerate`` an infeasible varying radius gives value 0 and a
+    certificate with all mass on zero-revenue choices.
     """
     items = as_assortment(items, model.n_items)
-    try:
-        rho_val = spec.radius(model, items)
-    except RadiusInfeasibleError:
-        if not allow_degenerate:
-            raise
-        rho_val = math.inf
-    dist = choice_probabilities(model, items)
-    if rho_val < ZERO_RADIUS:
-        return DualEvaluation(value=nominal_expected_revenue(model, items),
-                              lambda_star=math.inf, radius=rho_val, worst_case=dist)
-
-    revs = _revenues_of(model, items)
-    values, lam, tilt = _dual_batch(dist.probs[None, :], revs[None, :],
-                                    np.array([rho_val]), model.r_max)
+    P, R, weights = choice_rows(model, [items])
+    rho_val = float(spec.radii_from_weights(weights)[0])
+    if rho_val == math.inf and not allow_degenerate:
+        spec.radius(model, items)  # raises the RadiusInfeasibleError that names the set
+    values, lam, tilt = _dual_batch(P, R, np.array([rho_val]), model.r_max)
     value, lam_star, q = float(values[0]), float(lam[0]), tilt[0]
-    # The certificate: the kernel's tilt at an interior optimum attains the
-    # value; at the bracket's ends the KL constraint can be inactive in the
-    # tilting family, and then the tilt is bisected until it is active.
-    if not (0.0 < lam_star < math.inf and kl_divergence(q, dist.probs) <= rho_val + 1e-8
-            and math.fsum(q * revs) <= value + tol):
-        q, _ = _tilt_to_kl(dist.probs.tolist(), revs.tolist(), rho_val)
-    worst = ChoiceDistribution(support=dist.support, probs=np.array(q))
+    # The certificate: P at the zero radius, and the kernel's tilt at an
+    # interior optimum, which attains the value; at the bracket's ends the KL
+    # constraint can be inactive in the tilting family, and then the tilt is
+    # bisected until it is active.
+    if lam_star < math.inf and not (lam_star > 0.0 and kl_divergence(q, P[0]) <= rho_val + 1e-8
+                                    and math.fsum(q * R[0]) <= value + tol):
+        q, _ = _tilt_to_kl(P[0].tolist(), R[0].tolist(), rho_val)
+    worst = ChoiceDistribution(support=(0, *items), probs=np.array(q))
     return DualEvaluation(value=value, lambda_star=lam_star, radius=rho_val, worst_case=worst)
 

@@ -8,13 +8,15 @@ import numpy as np
 from .base import RobustAssortmentError
 from .estimation import OfflineDataset, _csr, _validated
 from .model import MnlModel, _draw_choices, as_assortment
-from .radius import ZERO_RADIUS, ConstantRadius
-from .robust import _solve_block, kl_divergence, robust_values
+from .radius import ConstantRadius
+from .robust import _dual_batch, kl_divergence, robust_values
 
 #: A prior shift tilts by at most beta*(max d - min d) = _TILT_SPAN, so no probability
 #: falls below exp(-_TILT_SPAN) times its nominal one; its KL target stays a relative
 #: _REACH_MARGIN below that tilt's, where the dual kernel can still place it.
 _TILT_SPAN, _REACH_MARGIN = 600.0, 1e-12
+#: Revenues within this share of r_max of the best tie for exp2's best radius.
+_TIE = 1e-12
 
 
 def generate_dataset(model: MnlModel, schedule, rng: np.random.Generator) -> OfflineDataset:
@@ -135,10 +137,8 @@ def perturb_prior(model: MnlModel, kl_bucket: tuple[float, float],
     if reach <= lo:
         d, reach = far, top
     target = rng.uniform(lo, min(hi, reach))
-    q = p0
-    if target >= ZERO_RADIUS:  # the kernel's worst-case tilt of revenues max d - d
-        q = _solve_block(np.log(p0)[None, :], (d.max() - d)[None, :], np.array([target]),
-                         np.ptp(d))[2][0]
+    # the kernel's worst-case tilt of revenues max d - d; p0 itself below ZERO_RADIUS
+    q = _dual_batch(p0[None, :], (d.max() - d)[None, :], np.array([target]), np.ptp(d))[2][0]
     perturbed = model_from_prior(q, model.revenues, model.r_max)
     return perturbed, kl_divergence(prior_of(perturbed), p0)
 
@@ -172,7 +172,8 @@ def shift_metrics(assortments_by_rho: dict[float, tuple[int, ...]],
     learned assortment in one kernel call (an empty assortment scores 0).
     Returns per model the gain, the best improvement over the zero-radius
     assortment; the base, that assortment's own revenue; and the best radius,
-    the smallest argmax.
+    the smallest radius whose revenue is within ``_TIE * r_max`` of the best,
+    so that rounding does not decide it.
     """
     grid = sorted(float(r) for r in rho_grid)
     if 0.0 not in grid:
@@ -185,8 +186,8 @@ def shift_metrics(assortments_by_rho: dict[float, tuple[int, ...]],
     gains, bases, best_radii = [], [], []
     for shifted in perturbed_models:
         revenue = robust_values(shifted, rows, ConstantRadius(0.0))
-        best = int(np.argmax(revenue))  # the first, so the smallest radius, of the best
-        gains.append(revenue[best] - revenue[anchor])
+        best = revenue.max()
+        gains.append(best - revenue[anchor])
         bases.append(revenue[anchor])
-        best_radii.append(grid[best])
+        best_radii.append(grid[int(np.argmax(revenue >= best - _TIE * shifted.r_max))])
     return np.array(gains), np.array(bases), np.array(best_radii)

@@ -172,3 +172,55 @@ def test_exp_config_errors_are_typed(tmp_path, capsys, config, named):
                  "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+
+
+def test_plan_general_method_matches_bruteforce(model_path, tmp_path):
+    general, brute = tmp_path / "general.json", tmp_path / "brute.json"
+    for method, out in (("general", general), ("bruteforce", brute)):
+        assert main(["plan", "--model", model_path, "--rho0", "0.05", "--k", "2",
+                     "--eps", "1e-6", "--method", method, "--out", str(out)]) == 0
+    payload = _read_json(general)
+    assert payload["certified_level"] == payload["value"]
+    assert abs(payload["value"] - _read_json(brute)["value"]) <= 1e-6
+
+
+def test_simulate_exp3_dumps_its_model(tmp_path):
+    data, model = tmp_path / "d.jsonl", tmp_path / "m.json"
+    assert main(["simulate", "--instance", "exp3-nonuniform", "--k", "2", "--n-effect", "5",
+                 "--seed", "3", "--out", str(data), "--dump-model", str(model)]) == 0
+    dumped = _read_json(model)
+    assert len(dumped["attractions"]) == 50 and dumped["r_max"] == 1.0
+    assert dumped["revenues"][:8] == [1.0] * 8 and dumped["revenues"][8:] == [0.0] * 42
+    assert len(data.read_text().splitlines()) == 4 * 2 * 5
+
+
+def test_learn_takes_revenues_from_the_model(model_path, tmp_path):
+    data = tmp_path / "d.jsonl"
+    data.write_text("".join(json.dumps({"assortment": [1, 2, 3], "choice": c}) + "\n"
+                            for c in [0, 1, 2, 3, 1, 3, 3, 0, 1, 2] * 20))
+    from_model, given = tmp_path / "m.json", tmp_path / "r.json"
+    common = ["learn", "--data", str(data), "--k", "2", "--rho", "0.1"]
+    assert main(common + ["--model", model_path, "--out", str(from_model)]) == 0
+    assert main(common + ["--revenues", "1.0,0.8,0.3", "--out", str(given)]) == 0
+    assert from_model.read_bytes() == given.read_bytes()
+    assert len(_read_json(from_model)["v_lcb"]) == 3
+
+
+def test_exp_config_list_is_one_error_line(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps([["replications", 1]]))
+    assert main(["exp", "--name", "exp3", "--seed", "1", "--out", str(tmp_path / "out"),
+                 "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "JSON object" in err[0]
+
+
+def test_exp_replications_flag_sets_the_replications(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"k_grid": [2], "n_effect": 20}))
+    out_dir = tmp_path / "out"
+    assert main(["exp", "--name", "exp3", "--seed", "2", "--out", str(out_dir),
+                 "--config", str(cfg), "--replications", "3"]) == 0
+    rows = [line for line in (out_dir / "exp3_detail.csv").read_text().splitlines()
+            if not line.startswith("#")][1:]
+    assert sorted({line.split(",")[3] for line in rows}) == ["0", "1", "2"]

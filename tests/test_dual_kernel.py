@@ -7,20 +7,25 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robust_assortment import (
     ConstantRadius,
     MnlModel,
+    NumericRangeError,
     RadiusInfeasibleError,
     VaryingRadius,
     choice_probabilities,
     kl_divergence,
+    nominal_expected_revenue,
     primal_robust_revenue_oracle,
     robust_revenue,
 )
 from robust_assortment import robust
+from robust_assortment.model import set_weights
+from robust_assortment.planning import _CurveFamily
+from robust_assortment.radius import ZERO_RADIUS
 from robust_assortment.robust import _dual_batch, robust_values
 
 TIED_REVENUES = (0.0, 0.25, 0.5, 1.0)
@@ -153,3 +158,67 @@ def test_batch_scores_zero_exactly_where_the_radius_rule_rejects():
             assert value == 0.0
         else:
             assert value == pytest.approx(expected, abs=1e-12)
+
+
+@st.composite
+def single_sets(draw):
+    """(model, items, spec): up to 10 items, extreme attractions, zero and tied
+    revenues, both radius rules, radii from below ZERO_RADIUS up to 30."""
+    n = draw(st.integers(1, 10))
+    v = 10.0 ** np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n)))
+    revenue = st.one_of(st.sampled_from(TIED_REVENUES), st.floats(0.0, 1.0))
+    r = np.array(draw(st.lists(revenue, min_size=n, max_size=n)))
+    model = MnlModel(attractions=v, revenues=r, r_max=1.0)
+    items = tuple(sorted(draw(st.sets(st.integers(1, n)))))
+    tiny = st.floats(0.0, ZERO_RADIUS, exclude_max=True)
+    bound = math.log1p(1.0 / model.v_tot)
+    spec = draw(st.one_of(
+        st.builds(ConstantRadius, tiny),
+        st.floats(-11.0, math.log10(30.0)).map(lambda e: ConstantRadius(10.0 ** e)),
+        st.builds(VaryingRadius, tiny, st.just(model.v_tot)),
+        st.floats(1e-6, 0.999).map(lambda share: VaryingRadius(share * bound, model.v_tot)),
+    ))
+    return model, items, spec
+
+
+# 1 + 1.1e-16 rounds back to 1 and 1 + 1.2e-16 up one ulp: summed left to right,
+# {1, 2} weighs exactly 1 (fsum would round it up one ulp) and {3} weighs 1 + 1 ulp,
+# and a budget one ulp inside its bound rejects the first only
+_LAST_BIT = MnlModel(attractions=np.array([1.1e-16, 1.1e-16, 1.2e-16, 0.7, 1.3]),
+                     revenues=np.linspace(0.2, 1.0, 5), r_max=1.0)
+
+
+@given(single_sets())
+@settings(max_examples=300, deadline=None)
+@example(case=(_LAST_BIT, (1, 2), _infeasible_on_tiny_pair(_LAST_BIT)))
+@example(case=(_LAST_BIT, (3,), _infeasible_on_tiny_pair(_LAST_BIT)))
+def test_one_set_scores_the_same_bits_on_every_path(case):
+    # one choice-row builder and one set-weight rule: the certificate path, the
+    # batch path, the nominal formula and the planner's dual cap agree bit for bit
+    model, items, spec = case
+    value = robust_values(model, [items], spec)[0]
+    assert robust_revenue(model, items, spec, allow_degenerate=True).value == value
+    try:
+        rho = spec.radius(model, items)
+    except RadiusInfeasibleError:
+        rho = math.inf
+    if rho < ZERO_RADIUS:
+        assert value == nominal_expected_revenue(model, items)
+    if not spec.is_zero:
+        offered = np.isin(np.arange(1, model.n_items + 1), items)
+        weight = set_weights([np.where(offered, model.attractions, 0.0)])
+        cap = _CurveFamily(model.attractions, model.revenues, model.r_max, spec).caps(weight)[0]
+        assert cap == (0.0 if rho == math.inf else model.r_max / rho)
+
+
+def test_overflowing_set_weight_is_a_typed_error():
+    model = MnlModel(attractions=np.array([1e308, 1e308]), revenues=np.array([1.0, 1.0]))
+    for spec in (ConstantRadius(0.1), VaryingRadius(0.1, 1.0)):
+        with pytest.raises(NumericRangeError):
+            spec.radius(model, (1, 2))
+        with pytest.raises(NumericRangeError):
+            robust_values(model, [(1, 2)], spec)
+        assert robust_values(model, [(1, 0)], spec)[0] >= 0.0  # one item alone fits
+    with pytest.raises(NumericRangeError):
+        choice_probabilities(model, (1, 2))
+

@@ -10,10 +10,13 @@ from robust_assortment import (
     MnlModel,
     VaryingRadius,
     evaluate_level_slack,
+    kl_divergence,
     plan_bruteforce,
     robust_revenue,
 )
 from robust_assortment.experiments import (
+    _FIG1_MODEL,
+    _fig1_shift,
     default_config,
     run_exp_cardinality,
     run_exp_robustness,
@@ -22,6 +25,7 @@ from robust_assortment.experiments import (
     run_fig1_demo,
 )
 from robust_assortment.planning import _CurveFamily
+from robust_assortment.simulate import prior_of
 
 
 def test_summary_rows_match_detail_aggregates():
@@ -99,6 +103,11 @@ def test_fig1_demo_robust_plan_has_better_worst_case():
     table = run_fig1_demo(default_config("fig1-demo", seed=1))
     worst_nominal, worst_robust, _ = table.summary_rows[0]
     assert worst_robust >= worst_nominal
+
+
+def test_fig1_demo_corner_shift_stays_within_kl_limit():
+    corner = _fig1_shift(_FIG1_MODEL, 1.0, 1.0)
+    assert kl_divergence(prior_of(corner), prior_of(_FIG1_MODEL)) <= 0.1
 
 
 def test_exp2_relative_gain_is_a_ratio_of_means(monkeypatch):

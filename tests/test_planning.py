@@ -25,6 +25,7 @@ from robust_assortment import (
 )
 
 from robust_assortment import planning
+from robust_assortment.model import set_weights
 from robust_assortment.radius import ZERO_RADIUS
 from robust_assortment.planning import (
     _CurveFamily,
@@ -447,7 +448,7 @@ def _reference_min_level_slack(fam, t, k, counter, stop_below=None):
     """Reference walk: every interval selects by lexsort, bounds by fsum and runs
     the exact step in turn.  ``_check_slack_contract`` holds the run walk to it."""
     idx = fam.active_items(t)
-    weight_full = 1.0 + float(fam.v[idx].sum())
+    weight_full = set_weights([fam.v[idx]])[0]
     cap_full = _cap(fam, weight_full)
     cap_empty = _cap(fam, 1.0)
     if cap_empty == 0.0:
@@ -486,7 +487,7 @@ def _reference_min_level_slack(fam, t, k, counter, stop_below=None):
             if sorted(heavy) != sorted(chosen):
                 candidates.append(heavy)
         for cand in candidates:
-            weight_s = 1.0 + float(fam.v[idx[cand]].sum()) if cand else 1.0
+            weight_s = set_weights([fam.v[idx[sorted(cand)]]])[0]
             cap_s = _cap(fam, weight_s)
             if cap_s == 0.0 or cap_s < prev:
                 continue
@@ -550,7 +551,7 @@ def _check_slack_contract(fam, t, k, stop_below):
     assert len(items) <= k and all(fam.r[i - 1] >= t for i in items)
     positions = [i - 1 for i in items]
     vs, rs = fam.v[positions].tolist(), fam.r[positions].tolist()
-    cap_s = _cap(fam, 1.0 + math.fsum(vs))
+    cap_s = _cap(fam, set_weights([vs])[0])
     assert cap_s > 0.0
     _, attained = _minimize_on(vs, rs, t, fam.shift, 0.0, cap_s, _EvalCounter())
     assert attained <= value + 1e-12 * max(1.0, abs(value))
@@ -605,7 +606,7 @@ def test_bulk_screen_matches_the_reference_loop_across_blocks(monkeypatch):
         k = int(rng.integers(1, 4))
         level = float(rng.uniform(0.0, 0.6))
         idx = fam.active_items(level)
-        lam_cap = _cap(fam, 1.0 + float(fam.v[idx].sum())) or _cap(fam, 1.0)
+        lam_cap = _cap(fam, set_weights([fam.v[idx]])[0]) or _cap(fam, 1.0)
         lefts, rights = planning._level_intervals(fam, idx, level, k, lam_cap)
         seen = {}
         for entries in (1, 3 * model.n_items, 1 << 14):
@@ -638,7 +639,7 @@ def _check_screen(fam, t, k, lefts=None, rights=None):
     level's heavy set, unless a revenue gap underflows a curve to -0 there."""
     idx = fam.active_items(t)
     if lefts is None:
-        lam_cap = _cap(fam, 1.0 + float(fam.v[idx].sum())) or _cap(fam, 1.0)
+        lam_cap = _cap(fam, set_weights([fam.v[idx]])[0]) or _cap(fam, 1.0)
         lefts, rights = planning._level_intervals(fam, idx, t, k, lam_cap)
         assert np.all(rights > lefts)
     edges, chosen = planning._level_runs(fam, idx, t, k, lefts, rights)
@@ -662,7 +663,7 @@ def _check_screen(fam, t, k, lefts=None, rights=None):
     bound, his = planning._screen_runs(fam, idx, t, run_lefts, run_rights, chosen)
     for run, (prev, right) in enumerate(zip(run_lefts.tolist(), run_rights.tolist())):
         cand = candidates[run]
-        cap_s = _cap(fam, 1.0 + np.where(chosen[run], fam.v[idx], 0.0).sum())
+        cap_s = _cap(fam, set_weights([np.where(chosen[run], fam.v[idx], 0.0)])[0])
         assert his[run] == min(right, cap_s)
         if cap_s > prev:
             left = [-x for x in fam.v[idx[cand]]] if prev == 0.0 else fam.curve_values(
@@ -703,7 +704,7 @@ def test_screen_cap_checks_at_float_neighbours_of_the_cap():
                              model.v_tot)
         fam = _CurveFamily(model.attractions, model.revenues, model.r_max, spec)
         # at level 0 with k = n, every item is selected on every interval
-        cap = _cap(fam, 1.0 + float(fam.v.sum()))
+        cap = _cap(fam, set_weights([fam.v])[0])
         for left in cap * (1.0 + steps):
             _check_screen(fam, 0.0, n, np.array([left]), np.array([2.0 * left]))
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robust_assortment import (
@@ -218,6 +218,8 @@ def test_perturb_prior_determinism():
     st.integers(0, 2 ** 32 - 1),
 )
 @settings(max_examples=200, deadline=None)
+@example(log_attractions=[0.1171875, 4.0, 0.0, 0.0, 0.0], lo_share=0.0, width=2.046875,
+         seed=926)
 def test_perturb_prior_lands_in_bucket(log_attractions, lo_share, width, seed):
     m = MnlModel(attractions=10.0 ** np.array(log_attractions),
                  revenues=np.ones(len(log_attractions)))
@@ -319,3 +321,14 @@ def test_shift_metrics_requires_anchor():
     m = MnlModel(attractions=np.array([1.0]), revenues=np.ones(1))
     with pytest.raises(ValueError):
         shift_metrics({0.5: (1,)}, [m], [0.5])
+
+
+def test_shift_metrics_best_radius_ignores_rounding_gains():
+    # item 3 lifts the radius-0.5 set's revenue by about 3e-15, far below 1e-12 * r_max
+    shifted = MnlModel(attractions=np.array([1.0, 1.0, 1e-14]),
+                       revenues=np.array([0.5, 0.5, 1.0]), r_max=1.0)
+    gains, bases, best_radii = shift_metrics({0.0: (1, 2), 0.5: (1, 2, 3)}, [shifted],
+                                             (0.0, 0.5))
+    assert 0.0 < gains[0] < 1e-12
+    assert bases[0] == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert best_radii[0] == 0.0
