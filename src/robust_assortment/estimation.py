@@ -17,7 +17,7 @@ from itertools import chain
 import numpy as np
 
 from .base import DataValidationError, InvalidAssortmentError
-from .model import MnlModel, as_assortment
+from .model import MnlModel, _ascending, as_assortment
 
 #: Cap applied to the plug-in attraction when the win-rate estimate is 1.
 DEFAULT_V_CAP = 1e9
@@ -122,23 +122,34 @@ def _csr(sets) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _validated(offsets: np.ndarray, items: np.ndarray, n_items: int, choices=None):
-    """The record of each offered id, ``items`` sorted within each record (clipped to
-    0..n_items + 1), and the first bad record (or None): one offering an id outside
-    1..n_items or one id twice, or, given ``choices``, whose choice is neither 0 nor
-    offered."""
-    owner = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+    """(chosen, ids, bad): given ``choices``, the choice of the record of each offered
+    id (else None); ``items`` sorted within each record (clipped to 0..n_items + 1);
+    and the first bad record (or None): one offering an id outside 1..n_items or one
+    id twice, or, given ``choices``, whose choice is neither 0 nor offered.
+
+    Records that are strictly ascending, with ids in range and each nonzero choice
+    among its record's ids, pass in a few linear passes; any others take the key
+    sort, which also finds the first bad record in record order.
+    """
+    sizes = np.diff(offsets)
+    chosen = None if choices is None else np.repeat(choices, sizes)
+    # distinct ids in a record match its choice at most once, so the counts agree
+    # only if every nonzero choice is offered
+    if (_ascending(items, offsets)
+            and (not items.size or 1 <= items.min() <= items.max() <= n_items)
+            and (choices is None
+                 or np.count_nonzero(items == chosen) == np.count_nonzero(choices))):
+        return chosen, items, None
+    owner = np.repeat(np.arange(offsets.size - 1), sizes)
     span = n_items + 2  # ids clipped to 0..n_items + 1 keep each record's keys apart
-    key = owner * span + np.clip(items, 0, n_items + 1)
-    if not np.all(key[1:] > key[:-1]):  # some record is out of order or repeats an id
-        key = np.sort(key)
+    key = np.sort(owner * span + np.clip(items, 0, n_items + 1))
     ids = key - owner * span
     bad = [owner[(ids < 1) | (ids > n_items)], owner[1:][key[1:] == key[:-1]]]
     if choices is not None:
         offered = np.zeros(choices.size, dtype=bool)
-        offered[owner[items == choices[owner]]] = True
+        offered[owner[items == chosen]] = True
         bad.append(np.flatnonzero((choices != 0) & ~offered))
-    bad = np.concatenate(bad)
-    return owner, ids, int(bad.min()) if bad.size else None
+    return chosen, ids, min((int(b.min()) for b in bad if b.size), default=None)
 
 
 def _fits_int64(ids) -> bool:
@@ -229,7 +240,7 @@ def rank_breaking(dataset, n_items: int) -> RankBreakingCounts:
     if not isinstance(dataset, OfflineDataset):
         dataset = OfflineDataset(dataset)
     offsets, items, choices = dataset.offsets, dataset.items, dataset.choices
-    owner, _, bad = _validated(offsets, items, n_items, choices)
+    chosen, _, bad = _validated(offsets, items, n_items, choices)
     if bad is not None:
         record = tuple(items[offsets[bad]:offsets[bad + 1]].tolist())
         try:
@@ -238,9 +249,10 @@ def rank_breaking(dataset, n_items: int) -> RankBreakingCounts:
             message = f"invalid assortment {record}: {exc}"
         raise DataValidationError(f"record {bad}: {message}", record_index=bad)
 
-    wins = np.bincount(choices[choices > 0] - 1, minlength=n_items)
-    duels = np.bincount(items[choices[owner] == 0] - 1, minlength=n_items) + wins
-    offered = np.bincount(items - 1, minlength=n_items)
+    # every id is now in 0..n_items, so slot i of each count is item i (0: no purchase)
+    wins = np.bincount(choices, minlength=n_items + 1)[1:]
+    duels = np.bincount(items[chosen == 0], minlength=n_items + 1)[1:] + wins
+    offered = np.bincount(items, minlength=n_items + 1)[1:]
     return RankBreakingCounts(wins=wins, duels=duels, offered=offered, n=dataset.n)
 
 

@@ -128,21 +128,25 @@ def _map_tasks(fn, tasks: list, workers: int) -> list:
         return list(pool.map(fn, tasks))
 
 
+def _spec(family: str, rho: float, model: MnlModel):
+    """The constant radius ``rho``, or the varying radius of budget ``rho`` over ``model``."""
+    return ConstantRadius(rho) if family == "constant" else VaryingRadius(rho, model.v_tot)
+
+
 # ---------------------------------------------------------------------------
 # Experiment 1: sample efficiency of double pessimism vs the plug-in baseline
 # ---------------------------------------------------------------------------
 
 def _exp1_cell(task) -> list[tuple]:
-    cfg, family, rho, n, rep = task
+    cfg, family, rho, star, n, rep = task
     model, schedule_factory = instance_sample_efficiency()
-    spec = ConstantRadius(rho) if family == "constant" else VaryingRadius(rho, model.v_tot)
+    spec = _spec(family, rho, model)
     delta = cfg.delta if cfg.delta is not None else 0.1 / model.n_items
     rng = cfg.rng_for("exp1", family, rho, n, rep)
     schedule = schedule_factory(n, rng)
     dataset = generate_dataset(model, schedule, rng)
     counts = rank_breaking(dataset, model.n_items)
     estimate = point_and_lcb(counts, delta)
-    star = plan(model, 3, spec).value
     rows = []
     for method, pessimism in (("pessimistic", True), ("plugin", False)):
         learn_cfg = LearnConfig(
@@ -159,12 +163,14 @@ def _exp1_cell(task) -> list[tuple]:
 
 def run_exp_sample_efficiency(cfg: ExperimentConfig) -> ResultTable:
     """Suboptimality of the pessimistic learner vs the plug-in baseline."""
+    model, _ = instance_sample_efficiency()
     tasks = []
     for family, grid in (("constant", cfg.rho_grid), ("varying", cfg.rho0_grid)):
         for rho in grid:
+            star = plan(model, 3, _spec(family, rho, model)).value  # one optimum per radius
             for n in cfg.n_grid:
                 for rep in range(cfg.replications):
-                    tasks.append((cfg, family, rho, n, rep))
+                    tasks.append((cfg, family, rho, star, n, rep))
     chunks = _map_tasks(_exp1_cell, tasks, _worker_count(cfg))
     detail = [row for chunk in chunks for row in chunk]
     summary = _summarize(detail, key=lambda r: (r[0], r[1], r[2], r[3]), value_index=5)
@@ -208,9 +214,7 @@ def run_exp_robustness(cfg: ExperimentConfig) -> ResultTable:
     for family, grid in grids.items():
         learned[family] = {}
         for rho in grid:
-            spec = (ConstantRadius(rho) if family == "constant"
-                    else VaryingRadius(rho, model.v_tot))
-            learn_cfg = LearnConfig(k=n_items, delta=delta, spec=spec,
+            learn_cfg = LearnConfig(k=n_items, delta=delta, spec=_spec(family, rho, model),
                                     revenues=tuple(model.revenues), r_max=model.r_max,
                                     eps_plan=cfg.eps_plan)
             items, _ = learn_robust_assortment(dataset, n_items, learn_cfg)
@@ -258,18 +262,21 @@ def run_exp_robustness(cfg: ExperimentConfig) -> ResultTable:
 # Experiment 3: cardinality constraints and the learning rate
 # ---------------------------------------------------------------------------
 
+def _exp3_instance(cfg: ExperimentConfig, mode: str, family: str, k: int):
+    """(model, schedule, spec, eps) of one exp3 cell."""
+    model, schedule = instance_cardinality(k, cfg.n_effect, mode == "uniform")
+    spec = _spec(family, cfg.rho_exp3 if family == "constant" else cfg.rho0_exp3, model)
+    eps = cfg.eps_plan if cfg.eps_plan is not None else 1e-5 * model.r_max
+    return model, schedule, spec, eps
+
+
 def _exp3_cell(task) -> list[tuple]:
-    cfg, mode, family, k, rep = task
-    uniform = mode == "uniform"
-    model, schedule = instance_cardinality(k, cfg.n_effect, uniform)
-    rho = cfg.rho_exp3 if family == "constant" else cfg.rho0_exp3
-    spec = ConstantRadius(rho) if family == "constant" else VaryingRadius(rho, model.v_tot)
+    cfg, mode, family, k, star, rep = task
+    model, schedule, spec, eps = _exp3_instance(cfg, mode, family, k)
     # per-item budget without the 1/N union scaling: these instances pin the
     # per-item duel counts near n_effect, where a scaled budget floors every
     # lower confidence bound at zero and nothing can be learned
     delta = cfg.delta if cfg.delta is not None else 0.1
-    eps = cfg.eps_plan if cfg.eps_plan is not None else 1e-5 * model.r_max
-    star = plan(model, k, spec, eps=eps).value
     rng = cfg.rng_for("exp3", mode, family, k, rep)
     dataset = generate_dataset(model, schedule, rng)
     learn_cfg = LearnConfig(k=k, delta=delta, spec=spec, revenues=tuple(model.revenues),
@@ -285,8 +292,10 @@ def run_exp_cardinality(cfg: ExperimentConfig) -> ResultTable:
     for mode in ("uniform", "nonuniform"):
         for family in ("constant", "varying"):
             for k in cfg.k_grid:
+                model, _, spec, eps = _exp3_instance(cfg, mode, family, k)
+                star = plan(model, k, spec, eps=eps).value  # one optimum per cell
                 for rep in range(cfg.replications):
-                    tasks.append((cfg, mode, family, k, rep))
+                    tasks.append((cfg, mode, family, k, star, rep))
     chunks = _map_tasks(_exp3_cell, tasks, _worker_count(cfg))
     detail = [row for chunk in chunks for row in chunk]
     means = _summarize(detail, key=lambda r: (r[0], r[1], r[2]), value_index=4)

@@ -16,15 +16,23 @@ V0 = 1.0
 def set_weights(rows) -> np.ndarray:
     """Total attraction W(S) = V0 + v(S) of each row of attractions.
 
-    Each row is summed left to right from V0, as the last column of a
-    ``cumsum``, so a zero adds nothing: a boolean-masked row, a zero-padded
-    row and a compact row of the same items in ascending order give the same
-    bits.  (``np.sum`` would not: its pairwise blocks depend on the row width.)
+    Each row is summed left to right from V0, so a zero adds nothing: a
+    boolean-masked row, a zero-padded row and a compact row of the same items
+    in ascending order give the same bits.  (``np.sum`` would not: its pairwise
+    blocks depend on the row width.)  Tall batches add one column at a time,
+    because numpy runs a row ``cumsum`` one short row at a time; wide ones take
+    the last column of that ``cumsum``.  Both make the same additions in the
+    same order.
     """
     rows = np.asarray(rows, dtype=float)
-    rows = np.concatenate((np.full((len(rows), 1), V0), rows), axis=1)
     with np.errstate(over="ignore"):
-        totals = np.cumsum(rows, axis=1)[:, -1]
+        if rows.shape[0] > rows.shape[1]:
+            totals = np.full(rows.shape[0], V0)
+            for column in rows.T:
+                totals += column
+        else:
+            rows = np.concatenate((np.full((len(rows), 1), V0), rows), axis=1)
+            totals = np.cumsum(rows, axis=1)[:, -1]
     if not np.isfinite(totals).all():
         raise NumericRangeError("total attraction overflowed the float range")
     return totals
@@ -87,7 +95,8 @@ class MnlModel:
 
     def assortment_weight(self, items) -> float:
         """Total attraction of ``items`` plus the no-purchase option."""
-        return float(choice_rows(self, [tuple(items)])[2][0])
+        row = self.attractions[np.sort(np.asarray(items, dtype=np.intp)) - 1]
+        return float(set_weights([row])[0])
 
     def to_dict(self) -> dict:
         return {
@@ -159,16 +168,26 @@ def choice_rows(model: MnlModel, sets):
     attractions from ``set_weights``.
     """
     ids = np.asarray(sets, dtype=np.intp)
-    pad = model.n_items + 1  # padding sorts last as id n + 1, whose entries are 0
-    ids = np.sort(np.where(ids > 0, ids, pad), axis=1)
-    P = np.empty((ids.shape[0], ids.shape[1] + 1))
-    P[:, 0] = V0
-    P[:, 1:] = np.concatenate(([0.0], model.attractions, [0.0]))[ids]
+    m, k = ids.shape
+    support = np.zeros((m, k + 1), dtype=np.intp)  # 0: no purchase
+    if ids.size and ids.min() > 0 and _ascending(ids.ravel(), k * np.arange(m + 1)):
+        support[:, 1:] = ids
+    else:  # padding sorts last as id n + 1, whose entries are 0
+        support[:, 1:] = np.sort(np.where(ids > 0, ids, model.n_items + 1), axis=1)
+    P = np.concatenate(([V0], model.attractions, [0.0]))[support]
     weights = set_weights(P[:, 1:])
     P /= weights[:, None]
-    R = np.zeros_like(P)
-    R[:, 1:] = np.concatenate(([0.0], model.revenues, [0.0]))[ids]
+    R = np.concatenate(([0.0], model.revenues, [0.0]))[support]
     return P, R, weights
+
+
+def _ascending(flat: np.ndarray, offsets: np.ndarray) -> bool:
+    """Whether each run ``flat[offsets[i]:offsets[i + 1]]`` strictly ascends, in
+    one pass; ``offsets`` rise from 0 to ``flat.size``."""
+    rising = np.empty(flat.size + 1, dtype=bool)
+    rising[1:-1] = flat[1:] > flat[:-1]  # entry j: flat[j] exceeds flat[j - 1] ...
+    rising[offsets] = True  # ... or starts a run
+    return bool(rising.all())
 
 
 def choice_probabilities(model: MnlModel, items) -> ChoiceDistribution:
@@ -201,16 +220,21 @@ def nominal_expected_revenue(model: MnlModel, items) -> float:
 
 def _draw_choices(model: MnlModel, rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Inverse-CDF draws from the MNL conditionals over the canonical assortments in
-    the rows of the (m, k) int array ``rows``: row i turns ``uniforms[i]`` into a choice."""
+    the rows of the (m, k) int array ``rows``: row i turns ``uniforms[i]`` into a choice.
+
+    The CDF adds ``choice_rows``' probabilities one column at a time, left to
+    right, so a batch rounds as each row alone and draws do not depend on it.
+    """
     m, k = rows.shape
-    support = np.zeros((m, k + 1), dtype=np.int64)  # no purchase first
-    support[:, 1:] = rows
-    weights = np.concatenate(([V0], model.attractions))[support]
-    # each row's sum and cumsum round as on that row alone, so batching leaves draws unchanged
-    cdf = np.cumsum(weights / weights.sum(axis=1, keepdims=True), axis=1)
-    drawn = (cdf <= uniforms[:, None]).sum(axis=1)  # searchsorted(cdf, u, side="right")
+    cdf = np.zeros(m)
+    drawn = np.zeros(m, dtype=np.intp)  # searchsorted(cdf, u, side="right") per row
+    for column in choice_rows(model, rows)[0].T:
+        cdf += column
+        drawn += cdf <= uniforms
     # the rounded CDF can end below 1, so a draw may land past its last entry
-    return support[np.arange(m), np.minimum(drawn, k)]
+    drawn = np.minimum(drawn, k)
+    flat = np.concatenate(([0], rows.ravel()))  # flat[i * k + j]: row i's item j >= 1
+    return flat[(np.arange(m) * k + drawn) * (drawn > 0)]  # index 0: no purchase
 
 
 def sample_choice(model: MnlModel, items, rng: np.random.Generator) -> int:

@@ -34,9 +34,13 @@ def generate_dataset(model: MnlModel, schedule, rng: np.random.Generator) -> Off
     sizes = np.diff(offsets)
     uniforms = rng.random(sizes.size)
     choices = np.empty(sizes.size, dtype=np.int64)
-    for k in np.unique(sizes).tolist():
-        rec = np.flatnonzero(sizes == k)
-        sets = items[offsets[rec, None] + np.arange(k)]  # row j: record rec[j]'s set
+    counts = np.bincount(sizes)
+    for k in np.flatnonzero(counts).tolist():
+        if counts[k] == sizes.size:  # one width: the records are the rows of items
+            rec, sets = slice(None), items.reshape(sizes.size, k)
+        else:
+            rec = np.flatnonzero(sizes == k)
+            sets = items[offsets[rec, None] + np.arange(k)]  # row j: record rec[j]'s set
         choices[rec] = _draw_choices(model, sets, uniforms[rec])
     return OfflineDataset.from_arrays(offsets, items, choices)
 
@@ -57,13 +61,18 @@ def instance_sample_efficiency() -> tuple[MnlModel, callable]:
     model = MnlModel(attractions=v, revenues=np.ones(n_items), r_max=1.0)
     star = np.arange(1, k + 1)
     outside = np.arange(k + 1, n_items + 1)
+    # row d: the star ids but d + 1, in order, then a slot for the outside id,
+    # which exceeds every star id, so each row comes out sorted
+    kept = np.array([[*np.delete(star, d), 0] for d in range(k)])
 
     def schedule_factory(n: int, rng: np.random.Generator) -> np.ndarray:
+        if n < 0:
+            raise ValueError(f"n must be a nonnegative record count, got {n}")
         drop = rng.integers(0, k, size=n)
         sub = outside[rng.integers(0, outside.size, size=n)]
-        rows = np.tile(star, (n, 1))
-        rows[np.arange(n), drop] = sub
-        return np.sort(rows, axis=1)
+        rows = np.take(kept, drop, axis=0)
+        rows[:, -1] = sub
+        return rows
 
     return model, schedule_factory
 

@@ -224,3 +224,13 @@ def test_exp_replications_flag_sets_the_replications(tmp_path):
     rows = [line for line in (out_dir / "exp3_detail.csv").read_text().splitlines()
             if not line.startswith("#")][1:]
     assert sorted({line.split(",")[3] for line in rows}) == ["0", "1", "2"]
+
+
+def test_simulate_negative_record_count_is_one_error_line(tmp_path, capsys):
+    out = tmp_path / "data.jsonl"
+    assert main(["simulate", "--instance", "exp1", "--n", "-5", "--seed", "1",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "n must be" in lines[0]
+    assert "Traceback" not in err and not out.exists()

@@ -137,14 +137,24 @@ def test_zero_and_infeasible_rows():
 
 
 def test_batch_scores_zero_exactly_where_the_radius_rule_rejects():
-    # a budget one ulp inside its bound: whether a set is feasible turns on
-    # the last bit of its total attraction, which the batch must reproduce
+    # a budget one ulp inside its bound rejects a total attraction of exactly 1
+    # and accepts 1 + 1 ulp, so whether a set is feasible turns on the last bit
+    # of its weight, which the batch must reproduce
     rng = np.random.default_rng(11)
-    v = np.concatenate((np.full(4, 1.1e-16), rng.uniform(0.5, 1.5, 4)))
+    v = np.concatenate(([1.0e-16, 1.0e-16, 1.3e-16, 1.0e-16], rng.uniform(0.5, 1.5, 4)))
     model = MnlModel(attractions=v, revenues=rng.uniform(0.1, 1.0, 8), r_max=1.0)
     spec = _infeasible_on_tiny_pair(model)
-    # total attraction 1 + 3.3e-16 rounds to 1 + 1 ulp, 1 + 4.4e-16 to 1 + 2 ulps
-    sets = [(1, 2, 3), (1, 2, 3, 4)] + [
+    # items 1, 2 and 4 add 0.45 ulp of 1 and item 3 adds 0.59 ulp: summed left
+    # to right from 1, {1, 2} and {1, 2, 4} stay at 1 while {1, 2, 3} and
+    # {1, 2, 3, 4} round to 1 + 1 ulp (summing the attractions before adding 1
+    # would give {1, 2} and {1, 2, 4} 1 + 1 ulp as well)
+    tiny = [(1, 2), (1, 2, 4), (1, 2, 3), (1, 2, 3, 4)]
+    ulp = np.spacing(1.0)
+    weights = [model.assortment_weight(items) for items in tiny]
+    assert weights == [1.0, 1.0, 1 + ulp, 1 + ulp]
+    rejected = np.isinf(spec.radii_from_weights(np.array(weights)))
+    assert rejected.tolist() == [True, True, False, False]
+    sets = tiny + [
         tuple(sorted(rng.choice(8, int(rng.integers(1, 5)), replace=False) + 1))
         for _ in range(60)]
     padded = np.zeros((len(sets), 4), dtype=np.intp)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robust_assortment import (
@@ -79,6 +79,40 @@ def test_rank_breaking_matches_per_record_counts(case):
     assert counts.duels.tolist() == duels
     assert counts.offered.tolist() == offered
     assert counts.n == len(records)
+
+
+@st.composite
+def _sorted_records(draw):
+    """Records with ascending sets, as generate_dataset writes them, empty ones
+    anywhere; one record may get a stray choice or one more id, valid or not."""
+    n_items, records = draw(_records())
+    records = [(sorted(items), choice) for items, choice in records]
+    if records and draw(st.booleans()):
+        at = draw(st.integers(0, len(records) - 1))
+        items, choice = records[at]
+        stray = draw(st.integers(-1, n_items + 1))
+        records[at] = (items, stray) if draw(st.booleans()) else (sorted([*items, stray]), choice)
+    return n_items, records
+
+
+@given(_sorted_records())
+@settings(max_examples=300, deadline=None)
+@example(case=(3, [([], 0), ([1, 2], 0), ([2, 2], 0)]))  # a leading empty record
+def test_rank_breaking_on_sorted_records_matches_the_reference(case):
+    # sorted records pass validation in linear passes; a fault there must still
+    # name the first bad record, in record order
+    n_items, records = case
+    faults = [i for i, (items, choice) in enumerate(records)
+              if len(set(items)) < len(items) or not all(1 <= j <= n_items for j in items)
+              or choice not in (0, *items)]
+    if faults:
+        with pytest.raises(DataValidationError) as err:
+            rank_breaking(OfflineDataset(records), n_items)
+        assert err.value.record_index == faults[0]
+    else:
+        counts = rank_breaking(OfflineDataset(records), n_items)
+        assert (counts.wins.tolist(), counts.duels.tolist(), counts.offered.tolist()) == \
+            _reference_counts(records, n_items)
 
 
 @pytest.mark.parametrize("bad, message", [

@@ -16,6 +16,7 @@ from robust_assortment import (
     as_assortment,
     choice_probabilities,
     expected_revenue,
+    generate_dataset,
     load_model,
     nominal_expected_revenue,
     sample_choice,
@@ -83,16 +84,22 @@ def test_sample_choice_empty_assortment(rng):
     assert all(sample_choice(m, (), rng) == 0 for _ in range(10))
 
 
+def _draws(model, items, n, rng):
+    """n choices from ``items``, drawn in one ``generate_dataset`` call; it samples
+    through the same inverse-CDF draw as ``sample_choice``, a batch at a time."""
+    return generate_dataset(model, np.tile(np.array(items, dtype=np.int64), (n, 1)), rng).choices
+
+
 def test_sample_choice_dominant_item(rng):
     m = MnlModel(attractions=np.array([1e9]), revenues=np.array([1.0]))
-    draws = np.array([sample_choice(m, (1,), rng) for _ in range(10 ** 5)])
+    draws = _draws(m, (1,), 10 ** 5, rng)
     assert np.mean(draws == 1) >= 0.999
 
 
 def test_sample_choice_frequencies(rng):
     m = MnlModel(attractions=np.array([1.0, 1.0]), revenues=np.array([1.0, 1.0]))
     n = 10 ** 5
-    draws = np.array([sample_choice(m, (1, 2), rng) for _ in range(n)])
+    draws = _draws(m, (1, 2), n, rng)
     sigma = math.sqrt((1 / 3) * (2 / 3) / n)
     for outcome in (0, 1, 2):
         assert abs(np.mean(draws == outcome) - 1 / 3) <= 3 * sigma
@@ -103,7 +110,7 @@ def test_sampling_chi_square(rng):
     items = (1, 2, 3)
     d = choice_probabilities(m, items)
     n = 10 ** 5
-    draws = np.array([sample_choice(m, items, rng) for _ in range(n)])
+    draws = _draws(m, items, n, rng)
     observed = np.array([np.sum(draws == c) for c in d.support])
     _, p_value = stats.chisquare(observed, n * d.probs)
     assert p_value > 0.001
