@@ -35,4 +35,5 @@ class ModelFormatError(RobustAssortmentError, ValueError):
 
 
 class ConfigError(RobustAssortmentError, ValueError):
-    """An experiment config names settings that do not exist."""
+    """An experiment or learning config names a setting that does not exist, or
+    gives one a value of the wrong type or range."""

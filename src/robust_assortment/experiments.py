@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import datetime
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -62,6 +63,43 @@ class ExperimentConfig:
     eps_plan: float | None = None
     out_dir: str = "."
     workers: int | None = None
+
+    def __post_init__(self):
+        def check(key, ok, what):
+            value = getattr(self, key)
+            if not ok(value):
+                raise ConfigError(f"{key} must be {what}, got {value!r}")
+
+        def integer(least):
+            return lambda x: isinstance(x, (int, np.integer)) and not isinstance(x, bool) and (
+                x >= least)
+
+        count = integer(1)
+
+        def radius(x):
+            return isinstance(x, (int, float, np.number)) and not isinstance(x, bool) and (
+                math.isfinite(x) and x >= 0.0)
+
+        def grid(of):
+            return lambda xs: isinstance(xs, tuple) and len(xs) > 0 and all(map(of, xs))
+
+        check("name", lambda x: x in EXPERIMENT_NAMES, f"one of {EXPERIMENT_NAMES}")
+        check("seed", integer(0), "a nonnegative integer")
+        for key in ("replications", "n_effect", "n_items_exp2", "n_dataset_exp2",
+                    "perturbations_per_bucket"):
+            check(key, count, "a positive integer")
+        for key in ("n_grid", "k_grid"):
+            check(key, grid(count), "a nonempty list of positive integers")
+        for key in ("rho_exp3", "rho0_exp3"):
+            check(key, radius, "a finite nonnegative number")
+        for key in ("rho_grid", "rho0_grid", "rho_grid_exp2", "rho0_grid_exp2"):
+            check(key, grid(radius), "a nonempty list of finite nonnegative numbers")
+        check("delta", lambda x: x is None or radius(x) and 0.0 < x < 1.0,
+              "null or a number in (0, 1)")
+        check("eps_plan", lambda x: x is None or radius(x) and x > 0.0,
+              "null or a finite positive number")
+        check("out_dir", lambda x: isinstance(x, (str, os.PathLike)), "a path")
+        check("workers", lambda x: x is None or count(x), "null or a positive integer")
 
     def rng_for(self, *path) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence((self.seed, hash_path(path))))

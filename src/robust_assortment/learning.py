@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .base import ConfigError
 from .estimation import point_and_lcb, rank_breaking
 from .model import MnlModel, as_assortment
 from .planning import PlanResult, plan
@@ -37,6 +38,16 @@ class LearnConfig:
     r_max: float | None = None
     eps_plan: float | None = None
     pessimism: bool = True
+
+    def __post_init__(self):
+        revenues = np.asarray(self.revenues, dtype=float)
+        if revenues.ndim != 1 or revenues.size == 0:
+            raise ConfigError("revenues must be a nonempty list of numbers")
+        r_max = self.resolved_r_max()
+        if not (np.all(np.isfinite(revenues)) and np.all(revenues >= 0.0)
+                and np.all(revenues <= r_max)):
+            raise ConfigError(f"every revenue must be finite and lie in [0, r_max = {r_max}], "
+                              f"got {list(self.revenues)}")
 
     def resolved_r_max(self) -> float:
         if self.r_max is not None:

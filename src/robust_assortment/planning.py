@@ -6,24 +6,16 @@ yields a witness set whose own robust revenue certifies a level too: a
 feasible probe lifts the search to its witness's value (Dinkelbach's step) and
 checks just above it next, an infeasible one halves the bracket.  The plan is
 the best witness, so its certified level is its value.  At the zero radius a
-probe is the nominal top-k rule.  Otherwise, whether a level is feasible
-reduces to driving a sum of per-item level-slack curves below a target
-constant.  Curve pairs cross at most once for positive dual values; each
-crossing is bracketed, then found by a monotone Newton iteration in 1/lam.
-Between consecutive crossing abscissas the best-K selection is constant, and
-it changes only where a swap crosses the K-th place, so consecutive intervals
-that select the same set form a run.  A fixed set's curve sum is
-quasi-convex on all lam > 0, so one exact step per run, bisecting on the
-derivative sign over the whole run, finds its minimum there.  Each level
-screens its runs in bulk, a block at a time, against a conservative lower
-bound, and runs the exact step only on the runs the bound cannot rule out,
-each up to its own dual cap.  The varying-radius rule also tries its k
-heaviest negative curves, one set per level, screened as one run over the
-whole level.
+probe is the nominal top-k rule.  Otherwise a level is feasible when a sum of
+per-item level-slack curves in the dual variable lam falls below a target.
+At a fixed lam the best sets of size <= k take the k lowest negative curves,
+so a level test is a branch and bound over lam: it bounds each interval
+between evaluated points from below, and splits those whose bound undercuts
+the best attained value by more than a tolerance.  Under the varying radius
+rule each set counts only up to its own dual cap.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -34,15 +26,13 @@ from .model import MnlModel, set_weights
 from .radius import RadiusSpec
 from .robust import robust_values
 
-_EXP_CAP = 700.0  # exp argument clip; saturated values are never minimizers
-_LEAST_LAM = math.ulp(0.0)  # the least positive float
-# Curve values per bulk block of intervals or runs.  A level has up to m^2/2
-# intervals; blocks keep its scratch arrays at tens of kB.  Blocks of 2^14
-# entries ran no faster and raised the peak RSS of the plan bench by 3.5%.
-_BLOCK_ENTRIES = 1 << 12
-# A bulk lower bound is loosened by this share of its terms' magnitudes, far
-# above the rounding that separates it from the exact fsum bound.
-_SCREEN_REL = 1e-9
+# evaluate_level_slack's tolerance, relative to max(1, |best value|)
+_REL_TOL = 1e-12
+# an interval (0, b] splits at b / _ZERO_SPLIT, any other into _PARTS parts
+_ZERO_SPLIT = 1024.0
+_PARTS = 4
+# intervals narrower than this share of their right end are not split again
+_LEAST_WIDTH = 1e-15
 
 
 @dataclass(frozen=True)
@@ -52,9 +42,8 @@ class PlanResult:
     ``certified_level`` is the revenue level the assortment certifies; it
     equals ``value`` for every planner here.  ``evaluations`` counts the
     planner's work: scored sets for the exact planners; for the general one,
-    one per probed level, and at a nonzero radius also one per crossing
-    interval's selection and one per curve-sum or slope evaluation of the
-    exact steps.
+    one per probed level plus, at a nonzero radius, one per curve row (all of
+    a search's curves at one lam) evaluated.
     """
 
     assortment: tuple[int, ...]
@@ -110,92 +99,21 @@ class _CurveFamily:
         """0-based indices of items whose revenue clears the level."""
         return np.nonzero(self.r >= level)[0]
 
-    def curve_values(self, idx: np.ndarray, level: float, lam) -> np.ndarray:
-        """Curves ``idx`` at ``lam``; a column of lam values gives one row per value.
-        Float warnings are silenced: lam = 0 gives -v where r > level, NaN where equal."""
+    def curves(self, idx: np.ndarray, level: float, lam):
+        """Curves ``idx`` at ``lam`` and their slopes in u = 1/lam; a column of lam
+        values gives one row per value.  Float warnings are silenced: lam = 0
+        gives -v where r > level, NaN where equal."""
+        gap = level - self.r[idx]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return self.v[idx] * np.expm1((level - self.r[idx]) / lam + self.shift)
+            x = gap / lam + self.shift
+            return self.v[idx] * np.expm1(x), gap * (self.v[idx] * np.exp(x))
 
-
-def _sum_curves(vs, rs, t: float, shift: float, lam: float) -> float:
-    """Selected-curve sum including the mandatory no-purchase term."""
-    acc = math.exp(min(t / lam + shift, _EXP_CAP)) - 1.0
-    for v, r in zip(vs, rs):
-        acc += v * (math.exp(min((t - r) / lam + shift, _EXP_CAP)) - 1.0)
-    return acc
-
-
-def _sum_slopes(vs, rs, t: float, shift: float, lam: float) -> float:
-    """Sign-of-derivative helper; increasing in lam so one sign change at most."""
-    acc = -t * math.exp(min(t / lam + shift, _EXP_CAP))
-    for v, r in zip(vs, rs):
-        acc += v * (r - t) * math.exp(min((t - r) / lam + shift, _EXP_CAP))
-    return acc
-
-
-def _limit_at_zero(vs, rs, shift: float) -> float:
-    """lam -> 0+ limit of the curve sum at level t == 0."""
-    acc = math.expm1(shift)
-    for v, r in zip(vs, rs):
-        acc += v * math.expm1(shift) if r == 0.0 else -v
-    return acc
-
-
-def _minimize_on(vs, rs, t, shift, lo, hi, counter: _EvalCounter):
-    """Minimize the quasi-convex curve sum over [lo, hi] by slope-sign bisection,
-    on log(lam) while the bracket spans decades."""
-    if lo <= 0.0:
-        if t == 0.0:
-            slope_hi = _sum_slopes(vs, rs, t, shift, hi)
-            counter.n += 1
-            if slope_hi <= 0.0:
-                counter.n += 1
-                return hi, _sum_curves(vs, rs, t, shift, hi)
-            # slope is nonnegative throughout at t == 0: minimum at the origin
-            return 0.0, _limit_at_zero(vs, rs, shift)
-        # the slope diverges to -inf as lam -> 0+ when t > 0: step lo down by
-        # factors 2, 4, 16, ... to the least subnormal, and keep the step above
-        lo = hi
-        step = 0.5
-        for _ in range(12):
-            above, lo = lo, max(lo * step, _LEAST_LAM)
-            step *= step
-            counter.n += 1
-            if _sum_slopes(vs, rs, t, shift, lo) < 0.0:
-                hi = above
-                break
-    else:
-        counter.n += 1
-        slope_lo = _sum_slopes(vs, rs, t, shift, lo)
-        if slope_lo >= 0.0:
-            counter.n += 1
-            return lo, _sum_curves(vs, rs, t, shift, lo)
-    counter.n += 1
-    if _sum_slopes(vs, rs, t, shift, hi) <= 0.0:
-        counter.n += 1
-        return hi, _sum_curves(vs, rs, t, shift, hi)
-    for _ in range(110):
-        if hi - lo <= 1e-15 * hi:
-            break
-        # geometric midpoints while [lo, hi] spans more than a factor of 2
-        mid = math.sqrt(lo) * math.sqrt(hi) if 0.0 < 2.0 * lo < hi else 0.5 * (lo + hi)
-        counter.n += 1
-        if _sum_slopes(vs, rs, t, shift, mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    lam = 0.5 * (lo + hi)
-    counter.n += 1
-    return lam, _sum_curves(vs, rs, t, shift, lam)
-
-
-@functools.lru_cache(maxsize=16)
-def _pair_index(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only index arrays (i, j) of the pairs i < j among m curves."""
-    pairs = np.triu_indices(m, k=1)
-    for index in pairs:
-        index.flags.writeable = False
-    return pairs
+    def no_purchase(self, level: float, lam):
+        """The no-purchase term expm1(t/lam + shift) and its slope in u = 1/lam;
+        inf where they overflow."""
+        with np.errstate(divide="ignore", over="ignore"):
+            x = level / lam + self.shift
+            return np.expm1(x), level * np.exp(x)
 
 
 # brackets of subnormal gaps halve to 0, and a/lam overflows at subnormal lam
@@ -219,7 +137,7 @@ def _pair_crossings(v: np.ndarray, r: np.ndarray, t: float, shift: float) -> np.
     m = v.size
     if m < 2:
         return np.empty(0)
-    iu, ju = _pair_index(m)
+    iu, ju = np.triu_indices(m, k=1)
     vi, vj = v[iu], v[ju]
     ri, rj = r[iu], r[ju]
     swap = vj > vi
@@ -298,8 +216,6 @@ def _pair_crossings(v: np.ndarray, r: np.ndarray, t: float, shift: float) -> np.
 
 def _dedup_sorted(xs: np.ndarray, rel: float = 1e-12) -> list[float]:
     """Drop each point within ``rel * max(1, x)`` of the last point kept."""
-    if np.all(np.diff(xs) > rel * np.maximum(1.0, xs[1:])):
-        return xs.tolist()  # every gap clears: all points are kept
     out: list[float] = []
     for x in xs:
         if not out or x - out[-1] > rel * max(1.0, x):
@@ -315,139 +231,171 @@ def intersection_points(level: float, model: MnlModel, spec: RadiusSpec) -> list
     return _dedup_sorted(xs)
 
 
+class _Best:
+    """The least attained value of a level search and its set.  Bounds at or
+    above ``threshold()`` cannot improve it by more than the tolerance: ``tol``,
+    or 1e-12 * max(1, |value|) without one."""
+
+    def __init__(self, value: float, stop_below: float | None, tol: float | None):
+        self.value, self.items, self.stop_below, self.tol = value, (), stop_below, tol
+
+    def offer(self, value: float, items: np.ndarray) -> None:
+        if value < self.value:
+            self.value, self.items = value, tuple(sorted((items + 1).tolist()))
+
+    @property
+    def achieved(self) -> bool:
+        return self.stop_below is not None and self.value < self.stop_below
+
+    def threshold(self) -> float:
+        tol = self.tol if self.tol is not None else _REL_TOL * max(1.0, abs(self.value))
+        return self.value - tol if math.isfinite(self.value) else math.inf
+
+
+# A point of a level search is one row: lam, the no-purchase term and its slope
+# in u = 1/lam, the sum of the k lowest negative curves, the curves, their slopes.
+_LAM, _NO_BUY, _NO_BUY_S, _LOW, _CURVES = range(5)
+
+
+def _points(fam: _CurveFamily, t: float, items: np.ndarray, k: int, lam: np.ndarray):
+    """The points at ``lam`` for the curves ``items``, and a mask of each one's
+    selection: its k lowest curves (a stable sort, so ties break by position)
+    where those are negative."""
+    g, s = fam.curves(items, t, lam[:, None])
+    rows, order = np.arange(lam.size)[:, None], np.argsort(g, axis=1, kind="stable")[:, :k]
+    selected = np.zeros(g.shape, dtype=bool)
+    selected[rows, order] = g[rows, order] < 0.0
+    low = np.where(selected, g, 0.0).sum(axis=1)
+    return np.column_stack((lam, *fam.no_purchase(t, lam), low, g, s)), selected
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _bounds(lo: np.ndarray, hi: np.ndarray, k: int) -> np.ndarray:
+    """Lower bounds of the no-purchase term plus the k lowest negative curves
+    between the points ``lo`` and ``hi``: the larger of (i) the no-purchase term
+    at ``hi`` plus the k lowest negative curves at ``lo``, and (ii) the least
+    end value of the tangents, in u = 1/lam, taken at either end."""
+    m = (lo.shape[1] - _CURVES) // 2
+    bound = hi[:, _NO_BUY] + lo[:, _LOW]
+    du = 1.0 / hi[:, _LAM] - 1.0 / lo[:, _LAM]  # u overflows below lam ~ 5.6e-309
+    ok = np.isfinite(du)
+    du = np.where(ok, du, 0.0)
+    for end, step in ((lo, du), (hi, -du)):
+        low = np.minimum(end[:, _CURVES:_CURVES + m] + end[:, _CURVES + m:] * step[:, None], 0.0)
+        if k < m:
+            low = np.partition(low, k - 1, axis=1)[:, :k]
+        # NaN where an overflowed no-purchase term has no tangent
+        tangents = end[:, _NO_BUY] + end[:, _NO_BUY_S] * step + low.sum(axis=1)
+        bound = np.fmax(bound, np.where(ok, np.minimum(end[:, _NO_BUY] + end[:, _LOW], tangents),
+                                        -np.inf))
+    return bound
+
+
+def _search(fam: _CurveFamily, t: float, items: np.ndarray, k: int, lo: float, hi: float,
+            floor: float, best: _Best, counter: _EvalCounter) -> float:
+    """Branch and bound over lam in (lo, hi] for the k lowest negative curves
+    among ``items``, each selection counted only up to its dual cap (at least
+    ``floor``).  Returns ``hi``, or the lam beyond which no selection is in cap.
+
+    The evaluated points cut (0, hi] into intervals.  One whose bound (see
+    ``_bounds``) undercuts the best attained value by more than the tolerance
+    is split: (0, b] at b/1024, any other into four parts, geometric while it
+    spans more than a factor of two.  Under the varying rule a selection's
+    weight never rises with lam (the curves are ordered by -v as lam -> 0+,
+    and each pair crosses at most once), so its cap falls: the least evaluated
+    lam at or above its selection's cap ends the search, and if above, that
+    cap is evaluated too.
+    """
+    v, k = fam.v[items], min(k, items.size)
+    low_at_zero = np.sort(np.where(fam.r[items] > t, -v, 0.0))[:k].sum()  # lam -> 0+ limits
+    cut = math.inf
+
+    def visit(lam: np.ndarray) -> np.ndarray:
+        """The points at the sorted ``lam``; each attained value is offered to
+        ``best``, and the caps move the cut."""
+        nonlocal cut
+        counter.n += lam.size
+        pts, selected = _points(fam, t, items, k, lam)
+        value, caps = pts[:, _NO_BUY] + pts[:, _LOW], np.full(lam.size, math.inf)
+        above = lam > floor
+        if above.any():
+            caps[above] = fam.caps(set_weights(np.where(selected[above], v, 0.0)))
+        value[lam > caps] = math.inf
+        i = int(np.argmin(value))
+        best.offer(float(value[i]), items[selected[i]])
+        ends = np.flatnonzero(lam >= caps)
+        if ends.size and lam[ends[0]] < cut:
+            cut = float(lam[ends[0]])
+            if cut > caps[ends[0]]:
+                pts = np.concatenate((pts, visit(caps[ends[:1]])))
+        return pts
+
+    def settle(nodes: np.ndarray, candidate: np.ndarray):
+        """The nodes in order up to the cut, and which of the intervals ending at
+        them stay open: the candidates whose bound undercuts the threshold."""
+        order = np.argsort(nodes[:, _LAM], kind="stable")
+        order = order[nodes[order, _LAM] <= cut]
+        nodes, is_open, threshold = nodes[order], candidate[order], best.threshold()
+        is_open[0] &= nodes[0, _NO_BUY] + low_at_zero < threshold and nodes[0, _LAM] / _ZERO_SPLIT > 0.0
+        ends = np.flatnonzero(is_open[1:]) + 1
+        a, b = nodes[ends - 1], nodes[ends]
+        is_open[ends] = (b[:, _LAM] - a[:, _LAM] > _LEAST_WIDTH * b[:, _LAM]) & (
+            _bounds(a, b, k) < threshold)
+        return nodes, is_open
+
+    first = visit(np.array([lo, hi]) if lo > 0.0 else np.array([hi]))
+    nodes, is_open = settle(first, first[:, _LAM] > lo)  # interval 0 is (0, node 0]
+    fractions = np.arange(1, _PARTS) / _PARTS
+    while not best.achieved and is_open.any():
+        lam = nodes[:, _LAM]
+        ends = np.flatnonzero(is_open[1:]) + 1
+        a, b = lam[ends - 1, None], lam[ends, None]
+        inner = np.where(b > 2.0 * a, np.exp(np.log(a) + fractions * (np.log(b) - np.log(a))),
+                         a + fractions * (b - a))
+        new = visit(np.concatenate((lam[:1][is_open[:1]] / _ZERO_SPLIT, inner.ravel())))
+        # each new point lies in the interval that ends at the next node
+        nodes, is_open = settle(np.concatenate((nodes, new)), np.concatenate(
+            (is_open, is_open[np.searchsorted(lam, new[:, _LAM])])))
+    return min(cut, hi)
+
+
 def _min_level_slack(fam: _CurveFamily, t: float, k: int, counter: _EvalCounter,
-                     stop_below: float | None = None):
+                     stop_below: float | None = None, tol: float | None = None):
     """Approximate min over (assortment, lam) of the selected curve sum at level t.
 
-    Returns (value, items_1based, achieved) where ``achieved`` reports an early
-    exit because a candidate dipped below ``stop_below``.  The reported value
-    is always attained by the reported candidate, so it upper-bounds the true
-    minimum; pruned runs are provably no better than the result.
+    Returns (value, items_1based, achieved), ``achieved`` when an attained value
+    dipped below ``stop_below``.  The value is attained by the set (at level 0
+    as its lam -> 0+ limit); without an early exit no candidate undercuts it by
+    more than the tolerance of ``_Best``.  The candidates at each lam are its k
+    lowest negative curves and, under the varying rule, the k heaviest ones.
     """
     idx = fam.active_items(t)
     # the weights of all active items and of the empty set, as masked rows
     cap_full, cap_empty = fam.caps(set_weights([fam.v[idx], np.zeros(idx.size)])).tolist()
     if not cap_empty > 0.0:
         return math.inf, (), False
-    lam_cap = cap_full if cap_full > 0.0 else cap_empty
-
     counter.n += 1
-    best_val = _sum_curves([], [], t, fam.shift, cap_empty)
-    best_items: tuple[int, ...] = ()
-    if stop_below is not None and best_val < stop_below:
-        return best_val, best_items, True
-
-    def screened_steps(lefts, rights, chosen) -> bool:
-        """The exact step of each run whose bound undercuts the running best, over
-        (left, hi]; True on an early exit."""
-        nonlocal best_val, best_items
-        bound, his = _screen_runs(fam, idx, t, lefts, rights, chosen)
-        low, his = bound.tolist(), his.tolist()
-        for i in np.flatnonzero(bound < best_val).tolist():
-            if low[i] >= best_val:  # the best has dropped below it since
-                continue
-            cand = idx[chosen[i]]
-            _, val = _minimize_on(fam.v[cand].tolist(), fam.r[cand].tolist(), t, fam.shift,
-                                  float(lefts[i]), his[i], counter)
-            if val < best_val:
-                best_val, best_items = val, tuple((cand + 1).tolist())
-                if stop_below is not None and best_val < stop_below:
-                    return True
-        return False
-
-    lefts, rights = _level_intervals(fam, idx, t, k, lam_cap)
-    counter.n += rights.size  # one selection per interval
-    edges, chosen = _level_runs(fam, idx, t, k, lefts, rights)
-    run_lefts, run_rights = lefts[edges[:-1]], rights[edges[1:] - 1]
-    rows = max(1, _BLOCK_ENTRIES // max(1, idx.size))
-    for start in range(0, run_lefts.size, rows):
-        block = slice(start, start + rows)
-        if screened_steps(run_lefts[block], run_rights[block], chosen[block]):
-            return best_val, best_items, True
-    if fam.varying and idx.size > k:
-        # the varying rule's heavy set is one run over all the intervals: it is
-        # one set per level, and its curve sum is quasi-convex
-        heavy = np.zeros((1, idx.size), dtype=bool)
-        heavy[0, _heavy_set(fam, idx, t, k)] = True
-        if heavy.any() and screened_steps(lefts[:1], rights[-1:], heavy):
-            return best_val, best_items, True
-    return best_val, best_items, False
-
-
-def _level_intervals(fam: _CurveFamily, idx: np.ndarray, t: float, k: int, lam_cap: float):
-    """(lefts, rights) of the intervals of (0, lam_cap] between the crossings and,
-    for a constant radius, the points (r - t) / rho where a curve changes sign."""
-    breakpoints: list[np.ndarray] = []
-    if idx.size > k:
-        breakpoints.append(_pair_crossings(fam.v[idx], fam.r[idx], t, fam.shift))
-    if fam.shift > 0.0 and idx.size > 0:
-        gaps = fam.r[idx] - t
-        breakpoints.append(gaps[gaps > 0.0] / fam.shift)
-    pts = np.concatenate(breakpoints) if breakpoints else np.empty(0)
-    pts = pts[(pts > 0.0) & (pts < lam_cap)]
-    rights = np.array(_dedup_sorted(np.sort(pts)) + [lam_cap])
-    return np.concatenate(([0.0], rights[:-1])), rights
-
-
-def _heavy_set(fam: _CurveFamily, idx: np.ndarray, t: float, k: int) -> np.ndarray:
-    """The varying rule's second candidate: the sorted positions of its k
-    heaviest negative curves, ties broken by position.  At the rule's zero
-    shift a curve is negative for every lam exactly where r > t, so this is
-    one set per level."""
-    by_weight = np.lexsort((idx, -fam.v[idx]))
-    return np.sort(by_weight[fam.r[idx[by_weight]] > t][:k])
-
-
-def _level_runs(fam: _CurveFamily, idx: np.ndarray, t: float, k: int,
-                lefts: np.ndarray, rights: np.ndarray):
-    """Group the intervals (lefts[i], rights[i]) into runs of consecutive ones
-    that select the same set: the k lowest negative curves at the interval's
-    midpoint, ties broken by position.
-
-    Returns ``edges``, run j being intervals edges[j] to edges[j + 1] - 1, and
-    ``chosen``, whose row j masks run j's set over the active curves.
-    """
-    m = idx.size
-    rows = max(1, _BLOCK_ENTRIES // max(1, m))
-    firsts, keys = [np.empty(0, dtype=np.intp)], [np.empty((0, m), dtype=bool)]
-    last = None  # the selection of the last block's last interval
-    for start in range(0, rights.size, rows):
-        block = slice(start, start + rows)
-        gm = fam.curve_values(idx, t, (0.5 * (lefts[block] + rights[block]))[:, None])
-        # the k lowest negative curves; lexsort((idx, gm)) is this stable sort
-        order = np.argsort(gm, axis=1, kind="stable")
-        key = order.argsort(axis=1) < np.minimum((gm < 0.0).sum(axis=1), k)[:, None]
-        new = np.ones(key.shape[0], dtype=bool)
-        new[1:] = (key[1:] != key[:-1]).any(axis=1)
-        new[0] = last is None or bool((key[0] != last).any())
-        firsts.append(start + np.flatnonzero(new))
-        keys.append(key[new])
-        last = key[-1]
-    return np.append(np.concatenate(firsts), rights.size), np.concatenate(keys)
-
-
-def _screen_runs(fam: _CurveFamily, idx: np.ndarray, t: float,
-                 lefts: np.ndarray, rights: np.ndarray, chosen: np.ndarray):
-    """Bound the sets of the runs (lefts[j], rights[j]) from below.
-
-    Row j of ``chosen`` masks run j's set over the active curves; its dual cap
-    ends the run at hi[j] = min(rights[j], cap).  Returns ``bound``, below the
-    exact fsum lower bound of run j's set on (lefts[j], hi[j]], or inf where
-    the cap is at or below the left end (0, an infeasible radius, included),
-    and ``hi``.  A set's curves do not decrease in lam and its no-purchase
-    term does not rise, so the bound holds on the whole of (lefts[j], hi[j]].
-    """
-    v = fam.v[idx]
-    left_vals = fam.curve_values(idx, t, lefts[:, None])
-    left_vals[lefts == 0.0] = -v  # the lam -> 0+ limit of every active curve
-    cap = fam.caps(set_weights(np.where(chosen, v, 0.0)))
-    hi = np.minimum(rights, cap)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        no_purchase = np.exp(np.minimum(t / hi + fam.shift, _EXP_CAP)) - 1.0
-    selected = np.where(chosen, left_vals, 0.0)
-    lower = no_purchase + selected.sum(axis=1) - _SCREEN_REL * (
-        no_purchase + np.abs(selected).sum(axis=1))  # no_purchase >= 0: t, shift >= 0
-    return np.where(cap > lefts, lower, np.inf), hi
+    best = _Best(float(fam.no_purchase(t, cap_empty)[0]), stop_below, tol)
+    if t == 0.0:
+        # the no-purchase term is constant and no curve falls as lam grows, so the
+        # infimum is the lam -> 0+ limit, where each curve with r > 0 is -v
+        limits = np.where(fam.r[idx] > 0.0, -fam.v[idx], 0.0)
+        take = np.argsort(limits, kind="stable")[:k]
+        take = take[limits[take] < 0.0]
+        best.offer(math.expm1(fam.shift) + float(limits[take].sum()), idx[take])
+    elif idx.size and not best.achieved:
+        # every set weighs at least the empty set, so its cap is at least cap_empty
+        end = _search(fam, t, idx, k, 0.0, cap_full if cap_full > 0.0 else cap_empty, cap_empty,
+                      best, counter)
+        if not best.achieved and fam.varying and idx.size > k:
+            # the k heaviest negative curves (at the zero shift, those with r > t),
+            # ties broken by position, beyond ``end``: up to it every set is bounded
+            by_weight = idx[np.lexsort((idx, -fam.v[idx]))]
+            heavy = np.sort(by_weight[fam.r[by_weight] > t][:k])
+            cap = float(fam.caps(set_weights([fam.v[heavy]]))[0])
+            if heavy.size and cap > end:
+                _search(fam, t, heavy, k, end, cap, cap, best, counter)
+    return best.value, best.items, best.achieved
 
 
 def evaluate_level_slack(model: MnlModel, k: int, spec: RadiusSpec, level: float):
@@ -455,9 +403,7 @@ def evaluate_level_slack(model: MnlModel, k: int, spec: RadiusSpec, level: float
     if not 0.0 <= level <= model.r_max:
         raise ValueError("level must lie in [0, r_max]")
     fam = _CurveFamily(model.attractions, model.revenues, model.r_max, spec)
-    counter = _EvalCounter()
-    value, items, _ = _min_level_slack(fam, level, k, counter)
-    return value, items
+    return _min_level_slack(fam, level, k, _EvalCounter())[:2]
 
 
 def plan_general(model: MnlModel, k: int, spec: RadiusSpec, eps: float) -> PlanResult:
@@ -489,7 +435,8 @@ def plan_general(model: MnlModel, k: int, spec: RadiusSpec, eps: float) -> PlanR
         eps_inner = eps / (4.0 * float(fam.caps(set_weights(np.empty((1, 0))))[0]))
 
         def probe(t: float):
-            slack, items, achieved = _min_level_slack(fam, t, k, counter, stop_below=fam.target)
+            slack, items, achieved = _min_level_slack(fam, t, k, counter, stop_below=fam.target,
+                                                      tol=eps_inner)
             return achieved, not achieved and slack <= fam.target + eps_inner, items
 
     best_items, best_val = (), 0.0

@@ -234,3 +234,37 @@ def test_simulate_negative_record_count_is_one_error_line(tmp_path, capsys):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "n must be" in lines[0]
     assert "Traceback" not in err and not out.exists()
+
+
+def _one_error_line(capsys, named):
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0]
+    assert "Traceback" not in err
+
+
+def test_exp_config_value_of_the_wrong_type_is_one_error_line(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"replications": "a"}))
+    assert main(["exp", "--name", "exp3", "--seed", "1", "--out", str(tmp_path / "out"),
+                 "--config", str(cfg)]) == 1
+    _one_error_line(capsys, "replications")
+
+
+def test_exp_zero_replications_is_one_error_line(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main(["exp", "--name", "exp3", "--seed", "1", "--out", str(out_dir),
+                 "--replications", "0"]) == 1
+    _one_error_line(capsys, "replications")
+    assert not out_dir.exists()
+
+
+def test_learn_negative_revenue_is_one_error_line(tmp_path, capsys):
+    # item 2 is never chosen, so its lower confidence bound is 0 and the
+    # planner never sees its revenue
+    data = tmp_path / "d.jsonl"
+    data.write_text("".join(json.dumps({"assortment": [1, 2], "choice": c}) + "\n"
+                            for c in [0, 1, 1, 0, 1] * 20))
+    assert main(["learn", "--data", str(data), "--k", "1", "--rho", "0.1",
+                 "--revenues", "1.0,-1"]) == 1
+    _one_error_line(capsys, "revenue")

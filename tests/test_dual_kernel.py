@@ -200,12 +200,16 @@ _LAST_BIT = MnlModel(attractions=np.array([1.1e-16, 1.1e-16, 1.2e-16, 0.7, 1.3])
 
 @given(single_sets())
 @settings(max_examples=300, deadline=None)
-@example(case=(_LAST_BIT, (1, 2), _infeasible_on_tiny_pair(_LAST_BIT)))
-@example(case=(_LAST_BIT, (3,), _infeasible_on_tiny_pair(_LAST_BIT)))
+@example(case=(_LAST_BIT, (1, 2), None))
+@example(case=(_LAST_BIT, (3,), None))
 def test_one_set_scores_the_same_bits_on_every_path(case):
     # one choice-row builder and one set-weight rule: the certificate path, the
     # batch path, the nominal formula and the planner's dual cap agree bit for bit
     model, items, spec = case
+    if spec is None:
+        # the last-bit examples; found here, not at import, so that a change to
+        # the weight rule fails this test and not the collection of the file
+        spec = _infeasible_on_tiny_pair(model)
     value = robust_values(model, [items], spec)[0]
     assert robust_revenue(model, items, spec, allow_degenerate=True).value == value
     try:

@@ -1,10 +1,11 @@
 import decimal
 import itertools
 import math
+import zlib
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from robust_assortment import (
@@ -28,18 +29,99 @@ from robust_assortment import planning
 from robust_assortment.model import set_weights
 from robust_assortment.radius import ZERO_RADIUS
 from robust_assortment.planning import (
+    _Best,
+    _bounds,
     _CurveFamily,
     _dedup_sorted,
     _EvalCounter,
     _min_level_slack,
-    _minimize_on,
     _pair_crossings,
-    _sum_curves,
+    _points,
+    _search,
 )
 
 from conftest import random_model, random_spec
 
 TIED_REVENUES = (0.0, 0.25, 0.5, 1.0)
+
+
+# The reference walk's helpers: one exact step of a fixed set's quasi-convex
+# curve sum over an interval, by bisection on the sign of its slope.
+
+_EXP_CAP = 700.0  # exp argument clip; saturated values are never minimizers
+_LEAST_LAM = math.ulp(0.0)  # the least positive float
+
+
+def _sum_curves(vs, rs, t, shift, lam):
+    """Selected-curve sum including the mandatory no-purchase term."""
+    acc = math.expm1(min(t / lam + shift, _EXP_CAP))
+    for v, r in zip(vs, rs):
+        acc += v * math.expm1(min((t - r) / lam + shift, _EXP_CAP))
+    return acc
+
+
+def _sum_slopes(vs, rs, t, shift, lam):
+    """Sign-of-derivative helper; increasing in lam so one sign change at most."""
+    acc = -t * math.exp(min(t / lam + shift, _EXP_CAP))
+    for v, r in zip(vs, rs):
+        acc += v * (r - t) * math.exp(min((t - r) / lam + shift, _EXP_CAP))
+    return acc
+
+
+def _limit_at_zero(vs, rs, shift):
+    """lam -> 0+ limit of the curve sum at level t == 0."""
+    acc = math.expm1(shift)
+    for v, r in zip(vs, rs):
+        acc += v * math.expm1(shift) if r == 0.0 else -v
+    return acc
+
+
+def _minimize_on(vs, rs, t, shift, lo, hi, counter):
+    """Minimize the quasi-convex curve sum over [lo, hi] by slope-sign bisection,
+    on log(lam) while the bracket spans decades."""
+    if lo <= 0.0:
+        if t == 0.0:
+            slope_hi = _sum_slopes(vs, rs, t, shift, hi)
+            counter.n += 1
+            if slope_hi <= 0.0:
+                counter.n += 1
+                return hi, _sum_curves(vs, rs, t, shift, hi)
+            # slope is nonnegative throughout at t == 0: minimum at the origin
+            return 0.0, _limit_at_zero(vs, rs, shift)
+        # the slope diverges to -inf as lam -> 0+ when t > 0: step lo down by
+        # factors 2, 4, 16, ... to the least subnormal, and keep the step above
+        lo = hi
+        step = 0.5
+        for _ in range(12):
+            above, lo = lo, max(lo * step, _LEAST_LAM)
+            step *= step
+            counter.n += 1
+            if _sum_slopes(vs, rs, t, shift, lo) < 0.0:
+                hi = above
+                break
+    else:
+        counter.n += 1
+        slope_lo = _sum_slopes(vs, rs, t, shift, lo)
+        if slope_lo >= 0.0:
+            counter.n += 1
+            return lo, _sum_curves(vs, rs, t, shift, lo)
+    counter.n += 1
+    if _sum_slopes(vs, rs, t, shift, hi) <= 0.0:
+        counter.n += 1
+        return hi, _sum_curves(vs, rs, t, shift, hi)
+    for _ in range(110):
+        if hi - lo <= 1e-15 * hi:
+            break
+        # geometric midpoints while [lo, hi] spans more than a factor of 2
+        mid = math.sqrt(lo) * math.sqrt(hi) if 0.0 < 2.0 * lo < hi else 0.5 * (lo + hi)
+        counter.n += 1
+        if _sum_slopes(vs, rs, t, shift, mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    lam = 0.5 * (lo + hi)
+    counter.n += 1
+    return lam, _sum_curves(vs, rs, t, shift, lam)
 
 
 def _curve(v, r, t, lam, shift):
@@ -445,8 +527,9 @@ def _cap(fam, weight):
 
 
 def _reference_min_level_slack(fam, t, k, counter, stop_below=None):
-    """Reference walk: every interval selects by lexsort, bounds by fsum and runs
-    the exact step in turn.  ``_check_slack_contract`` holds the run walk to it."""
+    """Reference walk: every interval between pair crossings selects by lexsort,
+    bounds by fsum and runs the exact step in turn.  ``_check_slack_contract``
+    holds the branch and bound to it."""
     idx = fam.active_items(t)
     weight_full = set_weights([fam.v[idx]])[0]
     cap_full = _cap(fam, weight_full)
@@ -476,7 +559,7 @@ def _reference_min_level_slack(fam, t, k, counter, stop_below=None):
     prev = 0.0
     for right in grid:
         mid = 0.5 * (prev + right)
-        gm = fam.curve_values(idx, t, mid)
+        gm = fam.curves(idx, t, mid)[0]
         counter.n += 1
         order = np.lexsort((idx, gm))
         chosen = [j for j in order if gm[j] < 0.0][:k]
@@ -496,8 +579,8 @@ def _reference_min_level_slack(fam, t, k, counter, stop_below=None):
                 continue
             vs = fam.v[idx[cand]].tolist()
             rs = fam.r[idx[cand]].tolist()
-            left_vals = [-v0 for v0 in vs] if prev == 0.0 else fam.curve_values(
-                idx[cand], t, prev).tolist()
+            left_vals = [-v0 for v0 in vs] if prev == 0.0 else fam.curves(
+                idx[cand], t, prev)[0].tolist()
             counter.n += 1
             lower_bound = _sum_curves([], [], t, fam.shift, hi) + math.fsum(left_vals)
             if lower_bound >= best_val:
@@ -534,10 +617,10 @@ def planning_instances(draw, max_items=10, zero_radius=False):
 
 
 def _check_slack_contract(fam, t, k, stop_below):
-    """The run walk against the reference walk: ``achieved`` is equal; without an
-    early exit the value is no higher; and the returned set attains the value:
-    it is no lower than the set's exact step over (0, cap].  Returns the run
-    walk's result."""
+    """The branch and bound against the reference walk: ``achieved`` is equal;
+    without an early exit the value is no higher; and the returned set attains
+    the value: it is no lower than the set's exact step over (0, cap].  Returns
+    the branch and bound's result."""
     result = _min_level_slack(fam, t, k, _EvalCounter(), stop_below=stop_below)
     value, items, achieved = result
     ref_value, _, ref_achieved = _reference_min_level_slack(fam, t, k, _EvalCounter(),
@@ -574,6 +657,10 @@ def _check_slack_contract(fam, t, k, stop_below):
                         revenues=np.array([0.0, 0.0, 0.0, 0.25, 1.16609094e-92]), r_max=1.0),
                VaryingRadius(0.109126783010009, 4.1), 1),
          level=0.0, stop_below="target")
+# the no-purchase term expm1(2.4e-195 / cap) is below stop_below; exp(x) - 1 rounds it to 0
+@example(case=(MnlModel(attractions=np.array([0.1]), revenues=np.array([0.0]), r_max=1.0),
+               VaryingRadius(1.1989476363991853, 0.1), 1),
+         level=2.3974093353255042e-195, stop_below=2.3974093353255042e-195)
 def test_bulk_screen_matches_the_reference_loop(case, level, stop_below):
     model, spec, k = case
     fam = _CurveFamily(model.attractions, model.revenues, model.r_max, spec)
@@ -591,38 +678,6 @@ def test_exact_step_is_accurate_across_many_decades():
         assert value < -109.9999
 
 
-def test_bulk_screen_matches_the_reference_loop_across_blocks(monkeypatch):
-    # runs continue across selection blocks, so every block size gives the
-    # same runs and the same result, bit for bit
-    rng = np.random.default_rng(515)
-    blocks = []
-    screen = planning._screen_runs
-    monkeypatch.setattr(planning, "_screen_runs", lambda *args: blocks.append(1) or screen(*args))
-    later_block_exits = 0
-    for trial in range(60):
-        model = random_model(rng, n_min=6, n_max=14, r_max=1.0)
-        spec = random_spec(rng, model, varying=bool(trial % 2))
-        fam = _CurveFamily(model.attractions, model.revenues, model.r_max, spec)
-        k = int(rng.integers(1, 4))
-        level = float(rng.uniform(0.0, 0.6))
-        idx = fam.active_items(level)
-        lam_cap = _cap(fam, set_weights([fam.v[idx]])[0]) or _cap(fam, 1.0)
-        lefts, rights = planning._level_intervals(fam, idx, level, k, lam_cap)
-        seen = {}
-        for entries in (1, 3 * model.n_items, 1 << 14):
-            monkeypatch.setattr(planning, "_BLOCK_ENTRIES", entries)
-            edges, chosen = planning._level_runs(fam, idx, level, k, lefts, rights)
-            runs = (edges.tolist(), chosen.tolist())
-            assert seen.setdefault("runs", runs) == runs
-            for stop_below in (None, fam.target):
-                blocks.clear()
-                value, items, achieved = _check_slack_contract(fam, level, k, stop_below)
-                result = (value.hex(), items, achieved)
-                assert seen.setdefault(stop_below, result) == result
-                later_block_exits += achieved and len(blocks) > 1
-    assert later_block_exits > 0
-
-
 def _duplicated_instance(rng, n_distinct, copies):
     """Each item repeated ``copies`` times, so curve values tie exactly."""
     v = np.repeat(10.0 ** rng.uniform(-1.0, 1.0, n_distinct), copies)
@@ -630,72 +685,68 @@ def _duplicated_instance(rng, n_distinct, copies):
     return MnlModel(attractions=v, revenues=r, r_max=1.0)
 
 
-def _check_screen(fam, t, k, lefts=None, rights=None):
-    """Every member interval of a run selects the run's set as lexsort does;
-    consecutive runs differ; each run's hi is min(right, cap) for its set's cap
-    from ``caps``; its bound is below the exact fsum bound of its set on
-    (left, hi] where the cap exceeds the left end, and inf elsewhere.  For the
-    varying rule, every member interval's k heaviest negative curves are the
-    level's heavy set, unless a revenue gap underflows a curve to -0 there."""
+def _selection_weights(fam, t, k, lams):
+    """Total attraction of the k lowest negative curves at each of ``lams``."""
     idx = fam.active_items(t)
-    if lefts is None:
-        lam_cap = _cap(fam, set_weights([fam.v[idx]])[0]) or _cap(fam, 1.0)
-        lefts, rights = planning._level_intervals(fam, idx, t, k, lam_cap)
-        assert np.all(rights > lefts)
-    edges, chosen = planning._level_runs(fam, idx, t, k, lefts, rights)
-    assert edges[0] == 0 and edges[-1] == rights.size and np.all(np.diff(edges) > 0)
-    candidates = [np.flatnonzero(row).tolist() for row in chosen]
-    assert len(candidates) == edges.size - 1
-    assert all(a != b for a, b in zip(candidates, candidates[1:]))
-    heavy = None
-    if fam.varying and idx.size > k:
-        by_weight = np.lexsort((idx, -fam.v[idx]))
-        heavy = planning._heavy_set(fam, idx, t, k).tolist()
-    for run, (first, end) in enumerate(zip(edges[:-1].tolist(), edges[1:].tolist())):
-        for prev, right in zip(lefts[first:end].tolist(), rights[first:end].tolist()):
-            gm = fam.curve_values(idx, t, 0.5 * (prev + right))
-            assert candidates[run] == sorted([j for j in np.lexsort((idx, gm))
-                                              if gm[j] < 0.0][:k])
-            if heavy is not None and np.all(gm[fam.r[idx] > t] < 0.0):
-                assert heavy == sorted([j for j in by_weight if gm[j] < 0.0][:k])
-
-    run_lefts, run_rights = lefts[edges[:-1]], rights[edges[1:] - 1]
-    bound, his = planning._screen_runs(fam, idx, t, run_lefts, run_rights, chosen)
-    for run, (prev, right) in enumerate(zip(run_lefts.tolist(), run_rights.tolist())):
-        cand = candidates[run]
-        cap_s = _cap(fam, set_weights([np.where(chosen[run], fam.v[idx], 0.0)])[0])
-        assert his[run] == min(right, cap_s)
-        if cap_s > prev:
-            left = [-x for x in fam.v[idx[cand]]] if prev == 0.0 else fam.curve_values(
-                idx[cand], t, prev)
-            assert bound[run] <= (_sum_curves([], [], t, fam.shift, his[run])
-                                  + math.fsum(left))
-        else:
-            assert bound[run] == math.inf
+    _, selected = _points(fam, t, idx, k, lams)
+    return set_weights(np.where(selected, fam.v[idx], 0.0))
 
 
 @settings(max_examples=200, deadline=None)
 @given(planning_instances(), st.one_of(st.sampled_from(TIED_REVENUES), st.floats(0.0, 1.0)))
-def test_screen_bounds_every_exact_bound(case, level):
+def test_varying_selection_weight_never_rises_with_lam(case, level):
+    # the search ends at the first lam above its selection's cap, which is
+    # sound only if the k lowest curves trade heavier items for lighter ones
     model, spec, k = case
-    _check_screen(_CurveFamily(model.attractions, model.revenues, model.r_max, spec), level, k)
+    assume(spec.is_varying)
+    fam = _CurveFamily(model.attractions, model.revenues, model.r_max, spec)
+    weights = _selection_weights(fam, level, k, np.geomspace(1e-8, 1e8, 4000))
+    assert np.all(np.diff(weights) <= 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(planning_instances(), st.one_of(st.sampled_from(TIED_REVENUES), st.floats(0.0, 1.0)),
+       st.floats(-8.0, 3.0), st.floats(1e-9, 4.0))
+def test_interval_bounds_stay_below_the_k_lowest_sum(case, level, log_left, log_width):
+    model, spec, k = case
+    fam = _CurveFamily(model.attractions, model.revenues, model.r_max, spec)
+    idx = fam.active_items(level)
+    left = 10.0 ** log_left
+    grid = np.unique(np.concatenate((
+        np.geomspace(left, left * 10.0 ** log_width, 400),
+        left + np.linspace(0.0, 1.0, 400) * (left * 10.0 ** log_width - left))))
+    pts, _ = _points(fam, level, idx, k, grid)
+    with np.errstate(invalid="ignore"):
+        sums = pts[:, planning._NO_BUY] + pts[:, planning._LOW]
+    bound = float(_bounds(pts[:1], pts[-1:], k)[0])
+    slack = 1e-12 * (1.0 + abs(float(pts[0, planning._NO_BUY])) + float(fam.v[idx].sum()))
+    assert bound <= float(np.min(sums)) + slack
 
 
 @pytest.mark.parametrize("varying", [False, True])
 def test_screen_breaks_exact_ties_by_position(varying):
+    # each item repeated three times, so curve values tie exactly: the branch
+    # and bound returns the reference walk's set
     rng = np.random.default_rng(99)
     for _ in range(6):
         model = _duplicated_instance(rng, n_distinct=7, copies=3)
         spec = random_spec(rng, model, varying=varying)
         fam = _CurveFamily(model.attractions, model.revenues, model.r_max, spec)
         for level in (0.0, 0.2):
-            _check_screen(fam, level, k=int(rng.integers(2, 6)))
+            k = int(rng.integers(2, 6))
+            _, items, _ = _check_slack_contract(fam, level, k, None)
+            assert items == _reference_min_level_slack(fam, level, k, _EvalCounter())[1]
 
 
-def test_screen_cap_checks_at_float_neighbours_of_the_cap():
-    # left ends a few ulps either side of the exact dual cap of the selected set
+def test_screen_cap_checks_at_float_neighbours_of_the_cap(monkeypatch):
+    # a search starting a few ulps either side of the dual cap of the selected
+    # set evaluates that cap, and ends there, exactly when it starts above it
     rng = np.random.default_rng(4242)
     steps = np.arange(-4, 5) * np.finfo(float).eps
+    evaluated = []
+    points = planning._points
+    monkeypatch.setattr(planning, "_points", lambda fam, t, items, k, lam: (
+        evaluated.extend(lam.tolist()) or points(fam, t, items, k, lam)))
     for _ in range(200):
         n = 8
         model = MnlModel(attractions=10.0 ** rng.uniform(-4.0, 4.0, n),
@@ -703,10 +754,60 @@ def test_screen_cap_checks_at_float_neighbours_of_the_cap():
         spec = VaryingRadius(float(rng.uniform(0.01, 0.99)) * math.log1p(1.0 / model.v_tot),
                              model.v_tot)
         fam = _CurveFamily(model.attractions, model.revenues, model.r_max, spec)
-        # at level 0 with k = n, every item is selected on every interval
+        # at a level below every revenue with k = n, every item is selected at every lam
         cap = _cap(fam, set_weights([fam.v])[0])
-        for left in cap * (1.0 + steps):
-            _check_screen(fam, 0.0, n, np.array([left]), np.array([2.0 * left]))
+        for start in cap * (1.0 + steps):
+            evaluated.clear()
+            best = _Best(math.inf, math.inf, None)  # stop after the first points
+            end = _search(fam, 0.05, np.arange(n), n, 0.0, float(start), 1.0, best, _EvalCounter())
+            assert end == min(start, cap)
+            assert evaluated == ([start, cap] if start > cap else [start])
+            assert best.items == tuple(range(1, n + 1))
+
+
+def _stratified_instance(n, scale, rng):
+    """The plan benchmark's instances: revenues spread evenly over [0.1, 1], one
+    draw per n-th of the range, and attractions in scale*[0.5, 1.5] that fall as
+    revenue rises, jittered within the same n-th; labels are shuffled."""
+    rank = rng.permutation(n)
+    r = 0.1 + 0.9 * (rank + rng.random(n)) / n
+    v = scale * (1.5 - (rank + rng.random(n)) / n)
+    return MnlModel(attractions=v, revenues=r, r_max=1.0)
+
+
+def _benchmark_spec(model, varying):
+    if varying:
+        return VaryingRadius(0.5 * math.log1p(1.0 / model.v_tot), model.v_tot)
+    return ConstantRadius(0.2)
+
+
+def test_search_ends_at_the_first_lam_above_a_cap():
+    # the plan benchmark's cell (n = 20, scale 1, varying) at seed 1 and its first
+    # level: without the cut at a selection's cap, its open intervals grew to
+    # millions
+    rng = np.random.default_rng(np.random.SeedSequence([1, zlib.crc32(b"plan"), 6]))
+    model = _stratified_instance(20, 1.0, rng)
+    fam = _CurveFamily(model.attractions, model.revenues, model.r_max,
+                       _benchmark_spec(model, varying=True))
+    counter = _EvalCounter()
+    value, items, _ = _min_level_slack(fam, 0.5, 2, counter)
+    assert counter.n < 100
+    _check_slack_contract(fam, 0.5, 2, None)
+    ref_value, ref_items, _ = _reference_min_level_slack(fam, 0.5, 2, _EvalCounter())
+    assert items == ref_items and abs(value - ref_value) <= 1e-12 * max(1.0, abs(ref_value))
+
+
+@pytest.mark.parametrize("varying", [False, True])
+def test_plan_general_at_200_items_is_cheap(varying):
+    # most items are active at the planned level; the pair-crossing walk this
+    # search replaced needed about 201,000 evaluations here
+    model = _stratified_instance(200, 0.02, np.random.default_rng(1))
+    spec = _benchmark_spec(model, varying)
+    result = plan_general(model, 20, spec, eps=1e-5)
+    assert result.evaluations < 5000
+    for key in (model.revenues, model.attractions):
+        top = tuple(sorted((np.lexsort((np.arange(200), -key))[:20] + 1).tolist()))
+        assert result.value >= robust_revenue(model, top, spec).value
 
 
 @settings(max_examples=80, deadline=None)
