@@ -11,6 +11,7 @@ import csv
 import json
 import math
 import numbers
+import re
 from dataclasses import dataclass
 from itertools import chain
 
@@ -21,6 +22,13 @@ from .model import MnlModel, _ascending, as_assortment
 
 #: Cap applied to the plug-in attraction when the win-rate estimate is 1.
 DEFAULT_V_CAP = 1e9
+
+#: One record of ``to_jsonl``: ``str`` of a list of Python ints is its JSON.
+_JSONL_LINE = '{"assortment": %s, "choice": %d}\n'
+#: JSON integers of at most this many digits fit in 64 bits whatever their value.
+_MAX_DIGITS = 18
+#: The lone surrogates that ``surrogateescape`` decoding leaves for bytes that are not UTF-8.
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
 class OfflineDataset:
@@ -86,16 +94,24 @@ class OfflineDataset:
             for name in ("offsets", "items", "choices"))
 
     def to_jsonl(self, path) -> None:
+        flat, bounds = self.items.tolist(), self.offsets.tolist()
+        text = "".join([_JSONL_LINE % (flat[a:b], c)
+                        for a, b, c in zip(bounds, bounds[1:], self.choices.tolist())])
         with open(path, "w", encoding="utf-8") as fh:
-            for items, choice in self.records:
-                fh.write(json.dumps({"assortment": list(items), "choice": choice}))
-                fh.write("\n")
+            fh.write(text)
 
     @classmethod
     def from_jsonl(cls, path) -> "OfflineDataset":
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = ((line_no, line) for line_no, line in enumerate(fh, start=1) if line.strip())
-            return _read_records(path, lines, _json_record)
+        """The dataset of a JSON-lines file: in one pass over the whole file when
+        it is in the form ``to_jsonl`` writes, else one line at a time."""
+        with open(path, "rb") as fh:
+            dataset = _canonical_jsonl(fh.read())
+        if dataset is None:
+            with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+                lines = ((line_no, line) for line_no, line in enumerate(fh, start=1)
+                         if line.strip())
+                dataset = _read_records(path, lines, _json_record)
+        return dataset
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -106,8 +122,12 @@ class OfflineDataset:
 
     @classmethod
     def from_csv(cls, path) -> "OfflineDataset":
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
             reader = csv.DictReader(fh)
+            try:
+                _check_utf8(",".join(reader.fieldnames or ()))
+            except ValueError as exc:
+                raise DataValidationError(f"{path} line 1: {exc}", record_index=0) from None
             return _read_records(path, ((reader.line_num, row) for row in reader), _csv_record)
 
 
@@ -152,6 +172,88 @@ def _validated(offsets: np.ndarray, items: np.ndarray, n_items: int, choices=Non
     return chosen, ids, min((int(b.min()) for b in bad if b.size), default=None)
 
 
+def _canonical_jsonl(data: bytes) -> OfflineDataset | None:
+    """The dataset of ``data`` if it is exactly in the form ``to_jsonl`` writes, else None.
+
+    That form is one ``{"assortment": [a, b], "choice": c}`` line per record,
+    with ", " separators and a final newline, and ids that are JSON integers
+    (``-?(0|[1-9][0-9]*)``) of at most ``_MAX_DIGITS`` digits.  Tokens are the
+    runs of digits and '-', and a line's token count gives its record's size.
+    Deleting the tokens must leave each record's template: the line
+    ``to_jsonl`` writes for that many zeros, with the zeros deleted.  A line's
+    last token must sit between ' ' and '}', the choice's slot, and each other
+    one between '[' or ' ' and ',' or ']', which in a template happens only at
+    its slots for an item; so every slot holds exactly one token.
+    """
+    if not data:
+        return OfflineDataset.from_arrays([0], [], [])
+    tokens = _canonical_tokens(np.frombuffer(data, dtype=np.uint8))
+    if tokens is None:
+        return None
+    values, last, counts = tokens
+    return OfflineDataset.from_arrays(np.concatenate(([0], np.cumsum(counts - 1))),
+                                      values[~last], values[last])
+
+
+def _canonical_tokens(buf: np.ndarray):
+    """(values, last, counts) of the tokens of a file in ``to_jsonl``'s form:
+    each token's value, whether it ends its line, and the tokens per line; or
+    None if the bytes ``buf`` are in any other form.
+
+    Temporaries stay near a few bytes per file byte: the token mask is freed
+    once read, and the one int64 array of token positions moves in place.
+    """
+    if buf[0] != ord("{") or buf[-1] != ord("\n"):
+        return None
+    token = buf - np.uint8(ord("0")) < 10
+    token |= buf == ord("-")
+    skeleton = buf[~token].tobytes()
+    at = np.flatnonzero(token[1:] > token[:-1])  # token starts, less one
+    del token
+    before = buf[at]
+    at += 1
+    # tokens per line
+    counts = np.diff(np.searchsorted(at, np.flatnonzero(buf == ord("\n"))), prepend=0)
+    if counts.min() < 1:
+        return None
+    sizes = (counts - 1).tolist()
+    templates = {s: (_JSONL_LINE % ([0] * s, 0)).replace("0", "").encode() for s in set(sizes)}
+    neg = buf[at] == ord("-")
+    at += neg
+    digit = buf[at] - np.uint8(ord("0"))
+    more = digit < 10
+    if (skeleton != b"".join([templates[s] for s in sizes])
+            or not more.all()  # a digit follows each leading '-'
+            or np.any((digit == 0) & (buf[at + 1] - np.uint8(ord("0")) < 10))  # leading zero
+            or not ((before == ord("[")) | (before == ord(" "))).all()):
+        return None
+
+    values = np.zeros(at.size, dtype=np.int64)
+    for _ in range(_MAX_DIGITS):  # Horner's rule, one digit of each token at a time
+        np.multiply(values, 10, out=values, where=more)
+        np.add(values, digit, out=values, where=more)
+        at += more
+        digit = buf[at] - np.uint8(ord("0"))
+        more &= digit < 10
+        if not more.any():
+            break
+    else:
+        return None  # a digit beyond the last that fits
+    after = buf[at]  # the byte after each token's digits, so a '-' inside one is refused
+    last = np.zeros(at.size, dtype=bool)  # each record's last token is its choice
+    last[np.cumsum(counts) - 1] = True
+    if (not np.array_equal(after == ord("}"), last)
+            or not ((after == ord(",")) | (after == ord("]")) | last).all()):
+        return None
+    np.negative(values, out=values, where=neg)
+    return values, last, counts
+
+
+def _check_utf8(text: str) -> None:
+    if not text.isascii() and (bad := _UNDECODABLE.search(text)):
+        raise ValueError(f"malformed record: byte {ord(bad.group()) - 0xdc00:#04x} is not UTF-8")
+
+
 def _fits_int64(ids) -> bool:
     return -2 ** 63 <= min(ids) <= max(ids) < 2 ** 63
 
@@ -181,6 +283,7 @@ def _fields(row: dict):
 
 def _json_record(line: str) -> tuple[list[int], int]:
     """A JSONL record: an object with a list of integer ids and an integer choice."""
+    _check_utf8(line)
     try:
         row = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -206,6 +309,8 @@ def _csv_record(row: dict) -> tuple[list[int], int]:
     """A CSV record: semicolon-joined ids and a choice, one field per header column."""
     if None in row:  # csv.DictReader files the fields beyond the header under None
         raise ValueError(f"malformed record: {len(row[None])} field(s) beyond the header")
+    for text in row.values():
+        _check_utf8(text or "")
     items, choice = _fields(row)
     try:
         return list(map(int, items.split(";"))) if items.strip() else [], int(choice)

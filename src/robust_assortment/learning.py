@@ -40,6 +40,9 @@ class LearnConfig:
     pessimism: bool = True
 
     def __post_init__(self):
+        if not (isinstance(self.k, (int, np.integer)) and not isinstance(self.k, bool)
+                and self.k >= 1):
+            raise ConfigError(f"k must be an integer >= 1, got {self.k!r}")
         revenues = np.asarray(self.revenues, dtype=float)
         if revenues.ndim != 1 or revenues.size == 0:
             raise ConfigError("revenues must be a nonempty list of numbers")

@@ -167,6 +167,14 @@ def choice_rows(model: MnlModel, sets):
     holds the revenues aligned with P; and ``weights`` the sets' total
     attractions from ``set_weights``.
     """
+    support, P, weights = _support_rows(model, sets)
+    R = np.concatenate(([0.0], model.revenues, [0.0]))[support]
+    return P, R, weights
+
+
+def _support_rows(model: MnlModel, sets):
+    """(support, P, weights) of ``choice_rows``: row i of ``support`` holds set
+    i's S_+ ids, 0 first, then its items ascending, then n + 1 for padding."""
     ids = np.asarray(sets, dtype=np.intp)
     m, k = ids.shape
     support = np.zeros((m, k + 1), dtype=np.intp)  # 0: no purchase
@@ -177,8 +185,7 @@ def choice_rows(model: MnlModel, sets):
     P = np.concatenate(([V0], model.attractions, [0.0]))[support]
     weights = set_weights(P[:, 1:])
     P /= weights[:, None]
-    R = np.concatenate(([0.0], model.revenues, [0.0]))[support]
-    return P, R, weights
+    return support, P, weights
 
 
 def _ascending(flat: np.ndarray, offsets: np.ndarray) -> bool:
@@ -228,7 +235,7 @@ def _draw_choices(model: MnlModel, rows: np.ndarray, uniforms: np.ndarray) -> np
     m, k = rows.shape
     cdf = np.zeros(m)
     drawn = np.zeros(m, dtype=np.intp)  # searchsorted(cdf, u, side="right") per row
-    for column in choice_rows(model, rows)[0].T:
+    for column in _support_rows(model, rows)[1].T:
         cdf += column
         drawn += cdf <= uniforms
     # the rounded CDF can end below 1, so a draw may land past its last entry

@@ -268,3 +268,25 @@ def test_learn_negative_revenue_is_one_error_line(tmp_path, capsys):
     assert main(["learn", "--data", str(data), "--k", "1", "--rho", "0.1",
                  "--revenues", "1.0,-1"]) == 1
     _one_error_line(capsys, "revenue")
+
+
+@pytest.mark.parametrize("name, data, where", [
+    ("d.jsonl", b'{"assortment": [1], "choice": 1}\n{"assortment": [1], "choice": 1\xff}\n',
+     "line 2: malformed record: byte 0xff"),
+    ("d.csv", b"assortment,choice\n1,1\n1,\xff\n", "line 3: malformed record: byte 0xff"),
+])
+def test_dataset_that_is_not_utf8_is_one_error_line(tmp_path, capsys, name, data, where):
+    path = tmp_path / name
+    path.write_bytes(data)
+    assert main(["learn", "--data", str(path), "--k", "1", "--rho", "0.1",
+                 "--revenues", "1.0"]) == 1
+    _one_error_line(capsys, where)
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_learn_k_below_one_is_one_error_line(tmp_path, capsys, k):
+    data = tmp_path / "d.jsonl"
+    data.write_text('{"assortment": [1], "choice": 1}\n')
+    assert main(["learn", "--data", str(data), "--k", k, "--rho", "0.1",
+                 "--revenues", "1.0"]) == 1
+    _one_error_line(capsys, "k must be")

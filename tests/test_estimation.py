@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from robust_assortment import (
     point_and_lcb,
     rank_breaking,
 )
+from robust_assortment.estimation import _canonical_jsonl, _json_record, _read_records
 
 
 def test_rank_breaking_empty_dataset():
@@ -207,6 +209,94 @@ def test_loaders_set_record_index_and_file_line(tmp_path):
     with pytest.raises(DataValidationError, match="line 4") as err:
         load_dataset(table)
     assert err.value.record_index == 2
+
+
+@pytest.mark.parametrize("name, data, where, index", [
+    ("d.jsonl", b'{"assortment": [1], "choice": 1}\n\n{"assortment": [1\xff], "choice": 0}\n',
+     "line 3", 1),
+    ("d.csv", b"assortment,choice\n1,1\n1;\xff,0\n", "line 3", 1),
+    ("header.csv", b"assortment,choice,\xff\n", "line 1", 0),
+])
+def test_bytes_that_are_not_utf8_name_the_file_line(tmp_path, name, data, where, index):
+    path = tmp_path / name
+    path.write_bytes(data)
+    with pytest.raises(DataValidationError,
+                       match=f"{where}: malformed record: byte 0xff is not UTF-8") as err:
+        load_dataset(path)
+    assert err.value.record_index == index
+
+
+def _reference_jsonl(dataset) -> bytes:
+    """The file ``to_jsonl`` writes, one ``json.dumps`` per record."""
+    return "".join(json.dumps({"assortment": list(items), "choice": choice}) + "\n"
+                   for items, choice in dataset.records).encode()
+
+
+def _per_line(path):
+    """The dataset of a JSON-lines file read one line at a time, by the per-line parser."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return _read_records(path, ((line_no, line) for line_no, line in enumerate(fh, start=1)
+                                    if line.strip()), _json_record)
+
+
+_IDS = st.one_of(st.integers(-30, 300),
+                 st.sampled_from([2 ** 63 - 1, -(2 ** 63 - 1), 10 ** 18 - 1, -(10 ** 18 - 1),
+                                  10 ** 18, -10 ** 18, 0]),
+                 st.integers(-2 ** 63, 2 ** 63 - 1))
+
+
+@given(st.lists(st.tuples(st.lists(_IDS, max_size=6), _IDS), max_size=12))
+@settings(max_examples=300, deadline=None)
+@example(records=[])
+@example(records=[((), 0), ((), 5)])
+@example(records=[((-(2 ** 63 - 1), 2 ** 63 - 1), -3)])
+def test_jsonl_round_trip_writes_json_dumps_bytes(tmp_path_factory, records):
+    dataset = OfflineDataset(records)
+    path = tmp_path_factory.getbasetemp() / "round_trip.jsonl"
+    dataset.to_jsonl(path)
+    data = path.read_bytes()
+    assert data == _reference_jsonl(dataset)
+    assert load_dataset(path) == dataset
+    # ids of 19 digits or more take the per-line path, all others the whole-file one
+    long_ids = any(len(str(abs(i))) > 18 for items, choice in records for i in (*items, choice))
+    assert (_canonical_jsonl(data) is None) == long_ids
+
+
+_EDIT_CHARS = st.sampled_from(list('0123456789-,[]{}":.e \n'))
+
+
+@given(records=st.lists(st.tuples(st.lists(st.integers(-12, 120), max_size=4),
+                                  st.integers(-12, 120)), max_size=5),
+       kind=st.sampled_from(["insert", "delete", "replace"]),
+       at=st.integers(0, 10 ** 4), char=_EDIT_CHARS)
+@settings(max_examples=800, deadline=None)
+@example(records=[((1, 2), 1)], kind="insert", at=33, char="0")  # "choice": 01
+@example(records=[((-1,), 0)], kind="insert", at=16, char="-")  # [--1]
+@example(records=[((12,), 0)], kind="insert", at=17, char="-")  # [1-2]
+@example(records=[((5,), 1)], kind="replace", at=16, char="-")  # [-]
+@example(records=[((1,), 1), ((2,), 0)], kind="insert", at=33, char="\n")  # a blank line
+@example(records=[((1,), 1)], kind="delete", at=32, char="0")  # no final newline
+@example(records=[((5,), 7)], kind="delete", at=30, char="0")  # [5] and no choice
+@example(records=[((), 7)], kind="insert", at=17, char="5")  # []5
+@example(records=[((), 7)], kind="delete", at=29, char="0")  # no id at all
+def test_jsonl_loader_agrees_with_the_per_line_parser(tmp_path_factory, records, kind, at, char):
+    text = _reference_jsonl(OfflineDataset(records)).decode()
+    if kind == "insert":
+        at %= len(text) + 1
+        text = text[:at] + char + text[at:]
+    elif text:
+        at %= len(text)
+        text = text[:at] + (char if kind == "replace" else "") + text[at + 1:]
+    path = tmp_path_factory.getbasetemp() / "edited.jsonl"
+    path.write_bytes(text.encode())
+    try:
+        expected = _per_line(path)
+    except DataValidationError as exc:
+        with pytest.raises(DataValidationError) as err:
+            load_dataset(path)
+        assert (str(err.value), err.value.record_index) == (str(exc), exc.record_index)
+    else:
+        assert load_dataset(path) == expected
 
 
 def test_point_and_lcb_uncovered_item():
