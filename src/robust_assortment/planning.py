@@ -4,10 +4,12 @@ The general planner searches the revenue level ``t``.  A level is feasible
 exactly when some assortment has robust revenue >= t, and every probed level
 yields a witness set whose own robust revenue certifies a level too: a
 feasible probe lifts the search to its witness's value (Dinkelbach's step) and
-checks just above it next, an infeasible one halves the bracket.  The plan is
-the best witness, so its certified level is its value.  At the zero radius a
-probe is the nominal top-k rule.  Otherwise a level is feasible when a sum of
-per-item level-slack curves in the dual variable lam falls below a target.
+checks just above it next, an infeasible one halves the bracket.  The search
+starts from the best revenue-ordered prefix of size <= k, the first witness,
+so most plans take one to three levels.  The plan is the best witness, so its
+certified level is its value.  At the zero radius a probe is the nominal top-k
+rule.  Otherwise a level is feasible when a sum of per-item level-slack
+curves in the dual variable lam falls below a target.
 At a fixed lam the best sets of size <= k take the k lowest negative curves,
 so a level test is a branch and bound over lam: it bounds each interval
 between evaluated points from below, and splits those whose bound undercuts
@@ -33,6 +35,8 @@ _ZERO_SPLIT = 1024.0
 _PARTS = 4
 # intervals narrower than this share of their right end are not split again
 _LEAST_WIDTH = 1e-15
+# a search opens on this many points, a factor of 4 apart and ending at hi
+_GRID = 16
 
 
 @dataclass(frozen=True)
@@ -43,7 +47,8 @@ class PlanResult:
     equals ``value`` for every planner here.  ``evaluations`` counts the
     planner's work: scored sets for the exact planners; for the general one,
     one per probed level plus, at a nonzero radius, one per curve row (all of
-    a search's curves at one lam) evaluated.
+    a search's curves at one lam) evaluated; the sets it scores, the seed's
+    revenue-ordered prefixes and the witnesses, are not counted.
     """
 
     assortment: tuple[int, ...]
@@ -297,7 +302,9 @@ def _search(fam: _CurveFamily, t: float, items: np.ndarray, k: int, lo: float, h
     among ``items``, each selection counted only up to its dual cap (at least
     ``floor``).  Returns ``hi``, or the lam beyond which no selection is in cap.
 
-    The evaluated points cut (0, hi] into intervals.  One whose bound (see
+    The search opens on 16 points, hi * 4^-j for j = 15..0 (geometric from lo
+    to hi when lo > 0), so its first pass spans nine decades of lam.  The
+    evaluated points cut (0, hi] into intervals.  One whose bound (see
     ``_bounds``) undercuts the best attained value by more than the tolerance
     is split: (0, b] at b/1024, any other into four parts, geometric while it
     spans more than a factor of two.  Under the varying rule a selection's
@@ -343,7 +350,9 @@ def _search(fam: _CurveFamily, t: float, items: np.ndarray, k: int, lo: float, h
             _bounds(a, b, k) < threshold)
         return nodes, is_open
 
-    first = visit(np.array([lo, hi]) if lo > 0.0 else np.array([hi]))
+    grid = (np.geomspace(lo, hi, _GRID) if lo > 0.0
+            else hi * 4.0 ** -np.arange(_GRID - 1.0, -1.0, -1.0))
+    first = visit(grid[grid > 0.0])  # hi * 4^-15 underflows below hi ~ 5e-315
     nodes, is_open = settle(first, first[:, _LAM] > lo)  # interval 0 is (0, node 0]
     fractions = np.arange(1, _PARTS) / _PARTS
     while not best.achieved and is_open.any():
@@ -409,10 +418,13 @@ def evaluate_level_slack(model: MnlModel, k: int, spec: RadiusSpec, level: float
 def plan_general(model: MnlModel, k: int, spec: RadiusSpec, eps: float) -> PlanResult:
     """eps-optimal robust assortment by a witness-driven search over revenue levels.
 
-    A probe at level t returns whether t is feasible, whether its slack misses
-    the target by at most the inner tolerance ("near", which ends the search),
-    and a witness set.  The best witness seen is returned; ``certified_level``
-    is its value.  The search ends when the bracket is at most eps/2 wide.
+    The k revenue-ordered prefixes are scored in one batch, and the best one
+    seeds the search: its value is the first lower end, and the first probe
+    sits eps/2 above it (at r_max/2 when no prefix scores above 0).  A probe at
+    level t returns whether t is feasible, whether its slack misses the target
+    by at most the inner tolerance ("near", which ends the search), and a
+    witness set.  The best witness seen is returned; ``certified_level`` is its
+    value.  The search ends when the bracket is at most eps/2 wide.
     """
     n = model.n_items
     if not 1 <= k <= n:
@@ -439,9 +451,17 @@ def plan_general(model: MnlModel, k: int, spec: RadiusSpec, eps: float) -> PlanR
                                                       tol=eps_inner)
             return achieved, not achieved and slack <= fam.target + eps_inner, items
 
-    best_items, best_val = (), 0.0
-    t_lo, t_hi = 0.0, model.r_max
-    t = 0.5 * t_hi
+    # the seed: the best revenue-ordered prefix of size <= k, scored again alone
+    # because a padded batch's rows round differently from a set's own row
+    order = np.lexsort((np.arange(n), -model.revenues))[:k].astype(np.int32) + 1  # by (-r_i, i)
+    depth = int(np.argmax(robust_values(model, np.where(np.tri(k, dtype=bool), order, 0), spec)))
+    best_items = tuple(sorted(order[:depth + 1].tolist()))
+    best_val = float(robust_values(model, [best_items], spec)[0])
+    if not best_val > 0.0:
+        best_items, best_val = (), 0.0
+    t_lo, t_hi = best_val, model.r_max
+    mid = 0.5 * (t_lo + t_hi)
+    t = min(t_lo + eps / 2.0, mid) if t_lo > 0.0 else mid
     while True:
         feasible, near, items = probe(t)
         if items and items != best_items:
@@ -524,6 +544,7 @@ def plan(model: MnlModel, k: int, spec: RadiusSpec, eps: float | None = None) ->
     """Dispatch to the cheapest exact planner that applies, else the general one."""
     if eps is None:
         eps = 1e-6 * model.r_max
+    k = min(k, model.n_items)  # a larger k plans the unconstrained optimum on every path
     r = model.revenues
     if float(np.max(r) - np.min(r)) <= 1e-12 * model.r_max:
         return plan_uniform_revenue(model, k, spec)

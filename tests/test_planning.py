@@ -443,6 +443,14 @@ def test_plan_dispatch(rng):
     assert abs(res.value - brute.value) <= 1e-6
 
 
+@pytest.mark.parametrize("revenues", [[0.5, 0.5, 0.5], [0.9, 0.5, 0.2]])
+def test_plan_caps_k_at_the_item_count(revenues):
+    # every path plans the unconstrained optimum, uniform revenues included
+    m = MnlModel(attractions=np.array([1.0, 2.0, 0.5]), revenues=np.array(revenues), r_max=1.0)
+    spec = ConstantRadius(0.1)
+    assert plan(m, 5, spec) == plan(m, 3, spec)
+
+
 def test_plan_general_k_validation():
     m = MnlModel(attractions=np.ones(3), revenues=np.ones(3))
     with pytest.raises(ValueError):
@@ -761,7 +769,8 @@ def test_screen_cap_checks_at_float_neighbours_of_the_cap(monkeypatch):
             best = _Best(math.inf, math.inf, None)  # stop after the first points
             end = _search(fam, 0.05, np.arange(n), n, 0.0, float(start), 1.0, best, _EvalCounter())
             assert end == min(start, cap)
-            assert evaluated == ([start, cap] if start > cap else [start])
+            grid = [start * 4.0 ** -j for j in range(15, -1, -1)]  # the first visit's points
+            assert evaluated == (grid + [cap] if start > cap else grid)
             assert best.items == tuple(range(1, n + 1))
 
 
@@ -808,6 +817,31 @@ def test_plan_general_at_200_items_is_cheap(varying):
     for key in (model.revenues, model.attractions):
         top = tuple(sorted((np.lexsort((np.arange(200), -key))[:20] + 1).tolist()))
         assert result.value >= robust_revenue(model, top, spec).value
+
+
+def test_plan_general_at_1000_items_is_cheap():
+    # most items are active at the planned level; the pair-crossing walk took
+    # about 300 s on one such plan
+    model = _stratified_instance(1000, 0.02, np.random.default_rng(1))
+    for varying in (False, True):
+        spec = _benchmark_spec(model, varying)
+        result = plan_general(model, 50, spec, eps=1e-5)
+        assert result.evaluations < 2000
+        for key in (model.revenues, model.attractions):
+            top = tuple(sorted((np.lexsort((np.arange(1000), -key))[:50] + 1).tolist()))
+            assert result.value >= robust_revenue(model, top, spec).value
+
+
+@settings(max_examples=300, deadline=None)
+@given(planning_instances(), st.sampled_from((1e-3, 1e-6)))
+def test_plan_general_beats_every_revenue_ordered_prefix(case, eps):
+    # the level search starts from the best prefix of size <= k, not merely within eps of it
+    model, spec, k = case
+    general = plan_general(model, k, spec, eps=eps)
+    order = np.lexsort((np.arange(model.n_items), -model.revenues)) + 1
+    for depth in range(1, k + 1):
+        prefix = tuple(sorted(order[:depth].tolist()))
+        assert general.value >= robust_revenue(model, prefix, spec, allow_degenerate=True).value
 
 
 @settings(max_examples=80, deadline=None)
