@@ -30,18 +30,14 @@ from .experiments import (
 from .learning import (
     LearnConfig,
     learn_robust_assortment,
-    pessimistic_value,
     suboptimality,
 )
 from .model import (
     ChoiceDistribution,
     MnlModel,
     as_assortment,
-    choice_probabilities,
-    expected_revenue,
     load_model,
     nominal_expected_revenue,
-    sample_choice,
     save_model,
 )
 from .planning import (
@@ -57,7 +53,6 @@ from .planning import (
 from .radius import ConstantRadius, RadiusSpec, VaryingRadius, radius
 from .robust import (
     DualEvaluation,
-    dual_objective,
     kl_divergence,
     primal_robust_revenue_oracle,
     robust_revenue,
@@ -95,11 +90,8 @@ __all__ = [
     "RobustAssortmentError",
     "VaryingRadius",
     "as_assortment",
-    "choice_probabilities",
     "default_config",
-    "dual_objective",
     "evaluate_level_slack",
-    "expected_revenue",
     "generate_dataset",
     "instance_cardinality",
     "instance_sample_efficiency",
@@ -111,7 +103,6 @@ __all__ = [
     "load_model",
     "nominal_expected_revenue",
     "perturb_prior",
-    "pessimistic_value",
     "plan",
     "plan_bruteforce",
     "plan_general",
@@ -127,7 +118,6 @@ __all__ = [
     "run_exp_robustness",
     "run_exp_sample_efficiency",
     "run_experiment",
-    "sample_choice",
     "save_model",
     "shift_metrics",
     "suboptimality",

@@ -113,13 +113,6 @@ class OfflineDataset:
                 dataset = _read_records(path, lines, _json_record)
         return dataset
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["assortment", "choice"])
-            for items, choice in self.records:
-                writer.writerow([";".join(str(i) for i in items), choice])
-
     @classmethod
     def from_csv(cls, path) -> "OfflineDataset":
         with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
@@ -366,8 +359,7 @@ class RankBreakingEstimate:
     """Point estimates and lower confidence bounds for the attractions.
 
     ``p_hat`` is NaN where the item was never part of a duel; the matching
-    ``v_hat`` is 0 there and capped at ``v_cap`` (always ``DEFAULT_V_CAP``)
-    where ``p_hat`` hits 1.
+    ``v_hat`` is 0 there and capped at ``DEFAULT_V_CAP`` where ``p_hat`` hits 1.
     ``v_lcb`` needs no cap: the confidence penalty keeps the bound below 1.
     """
 
@@ -379,7 +371,6 @@ class RankBreakingEstimate:
     p_lcb: np.ndarray
     v_lcb: np.ndarray
     delta: float
-    v_cap: float
 
 
 def point_and_lcb(counts: RankBreakingCounts, delta: float) -> RankBreakingEstimate:
@@ -408,7 +399,7 @@ def point_and_lcb(counts: RankBreakingCounts, delta: float) -> RankBreakingEstim
     v_lcb = p_lcb / (1.0 - p_lcb)
     return RankBreakingEstimate(
         wins=counts.wins.copy(), duels=counts.duels.copy(), offered=counts.offered.copy(),
-        p_hat=p_hat, v_hat=v_hat, p_lcb=p_lcb, v_lcb=v_lcb, delta=delta, v_cap=DEFAULT_V_CAP,
+        p_hat=p_hat, v_hat=v_hat, p_lcb=p_lcb, v_lcb=v_lcb, delta=delta,
     )
 
 

@@ -19,7 +19,7 @@ from .estimation import point_and_lcb, rank_breaking
 from .model import MnlModel, as_assortment
 from .planning import PlanResult, plan
 from .radius import RadiusSpec
-from .robust import robust_revenue, robust_values
+from .robust import robust_revenue
 
 
 @dataclass(frozen=True)
@@ -105,28 +105,6 @@ def learn_robust_assortment(dataset, n_items: int, cfg: LearnConfig):
         "n_offered": counts.offered,
     }
     return items, diagnostics
-
-
-def pessimistic_value(v_est, cfg: LearnConfig, items) -> float:
-    """Value the learner's objective assigns to ``items`` under estimates ``v_est``.
-
-    This is the robust dual evaluated on the estimated model with the
-    configured radius rule (whose varying form keeps the true total
-    attraction), i.e. exactly what the planner maximized.
-    """
-    v_est = np.asarray(v_est, dtype=float)
-    items = as_assortment(items, v_est.size)
-    if any(v_est[i - 1] <= 0.0 for i in items):
-        return 0.0
-    keep = np.nonzero(v_est > 0.0)[0]
-    sub = MnlModel(
-        attractions=v_est[keep],
-        revenues=np.asarray(cfg.revenues, dtype=float)[keep],
-        r_max=cfg.resolved_r_max(),
-    )
-    remap = {int(orig) + 1: pos + 1 for pos, orig in enumerate(keep)}
-    sub_items = tuple(sorted(remap[i] for i in items))
-    return float(robust_values(sub, [sub_items], cfg.spec)[0])
 
 
 def suboptimality(true_model: MnlModel, spec: RadiusSpec, s_hat, k: int,

@@ -1,8 +1,9 @@
-"""MNL choice models: parameters, probabilities, revenue, sampling, file I/O."""
+"""MNL choice models: parameters, choice rows, nominal revenue, sampling, file I/O."""
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -11,6 +12,8 @@ from .base import InvalidAssortmentError, ModelFormatError, NumericRangeError
 
 #: Attraction of the no-purchase option, fixed by the usual normalization.
 V0 = 1.0
+#: Lower end of the dual kernel's search bracket for lambda, relative to r_max.
+LAMBDA_FLOOR = 1e-12
 
 
 def set_weights(rows) -> np.ndarray:
@@ -74,6 +77,9 @@ class MnlModel:
         r_max = float(np.max(r)) if self.r_max is None else float(self.r_max)
         if not (r_max > 0.0 and math.isfinite(r_max)):
             raise ValueError("r_max must be a positive finite real")
+        if LAMBDA_FLOOR * r_max < sys.float_info.min:
+            raise NumericRangeError(f"r_max={r_max} is too small: the dual's lambda floor "
+                                    f"{LAMBDA_FLOOR} * r_max is not a normal float")
         if not np.all(np.isfinite(r)) or np.any(r < 0.0) or np.any(r > r_max):
             raise ValueError(f"revenues must lie in [0, r_max={r_max}]")
         v = v.copy()
@@ -154,9 +160,6 @@ class ChoiceDistribution:
         object.__setattr__(self, "probs", p)
         object.__setattr__(self, "support", tuple(int(i) for i in self.support))
 
-    def to_dict(self) -> dict:
-        return {"support": list(self.support), "probs": self.probs.tolist()}
-
 
 def choice_rows(model: MnlModel, sets):
     """Conditional MNL choice rows of assortments, one per row of ``sets``.
@@ -197,23 +200,6 @@ def _ascending(flat: np.ndarray, offsets: np.ndarray) -> bool:
     return bool(rising.all())
 
 
-def choice_probabilities(model: MnlModel, items) -> ChoiceDistribution:
-    """Conditional MNL choice distribution over ``items`` plus no-purchase."""
-    items = as_assortment(items, model.n_items)
-    return ChoiceDistribution(support=(0, *items), probs=choice_rows(model, [items])[0][0])
-
-
-def expected_revenue(items, dist: ChoiceDistribution, model: MnlModel) -> float:
-    """Expected revenue of ``items`` under choice distribution ``dist``."""
-    items = as_assortment(items, model.n_items)
-    if dist.support != (0, *items):
-        raise ValueError(f"distribution support {dist.support} does not match S_+ of {items}")
-    return float(math.fsum(
-        p * (model.revenues[i - 1] if i else 0.0)
-        for i, p in zip(dist.support, dist.probs)
-    ))
-
-
 def nominal_revenues(P: np.ndarray, R: np.ndarray) -> np.ndarray:
     """Expected revenue of each choice row: the dual kernel's zero-radius value."""
     return np.einsum("ij,ij->i", P, R)
@@ -242,9 +228,3 @@ def _draw_choices(model: MnlModel, rows: np.ndarray, uniforms: np.ndarray) -> np
     drawn = np.minimum(drawn, k)
     flat = np.concatenate(([0], rows.ravel()))  # flat[i * k + j]: row i's item j >= 1
     return flat[(np.arange(m) * k + drawn) * (drawn > 0)]  # index 0: no purchase
-
-
-def sample_choice(model: MnlModel, items, rng: np.random.Generator) -> int:
-    """Draw one choice from the MNL conditional distribution; 0 means no purchase."""
-    row = np.array([as_assortment(items, model.n_items)], dtype=np.int64)
-    return int(_draw_choices(model, row, rng.random(1))[0])

@@ -43,19 +43,22 @@ _GRID = 16
 class PlanResult:
     """An (eps-)optimal assortment and its robust revenue.
 
-    ``certified_level`` is the revenue level the assortment certifies; it
-    equals ``value`` for every planner here.  ``evaluations`` counts the
-    planner's work: scored sets for the exact planners; for the general one,
-    one per probed level plus, at a nonzero radius, one per curve row (all of
-    a search's curves at one lam) evaluated; the sets it scores, the seed's
-    revenue-ordered prefixes and the witnesses, are not counted.
+    ``evaluations`` counts the planner's work: scored sets for the exact
+    planners; for the general one, one per probed level plus, at a nonzero
+    radius, one per curve row (all of a search's curves at one lam)
+    evaluated; the sets it scores, the seed's revenue-ordered prefixes and the
+    witnesses, are not counted.
     """
 
     assortment: tuple[int, ...]
     value: float
-    certified_level: float
     evaluations: int = 0
     best_effort: bool = False
+
+    @property
+    def certified_level(self) -> float:
+        """The revenue level the assortment certifies: its own robust revenue."""
+        return self.value
 
     def to_dict(self) -> dict:
         return {
@@ -423,8 +426,8 @@ def plan_general(model: MnlModel, k: int, spec: RadiusSpec, eps: float) -> PlanR
     sits eps/2 above it (at r_max/2 when no prefix scores above 0).  A probe at
     level t returns whether t is feasible, whether its slack misses the target
     by at most the inner tolerance ("near", which ends the search), and a
-    witness set.  The best witness seen is returned; ``certified_level`` is its
-    value.  The search ends when the bracket is at most eps/2 wide.
+    witness set.  The best witness seen is returned.  The search ends when the
+    bracket is at most eps/2 wide.
     """
     n = model.n_items
     if not 1 <= k <= n:
@@ -477,8 +480,8 @@ def plan_general(model: MnlModel, k: int, spec: RadiusSpec, eps: float) -> PlanR
         mid = 0.5 * (t_lo + t_hi)
         # after a jump past t, test just above the new lower end
         t = min(t_lo + eps / 2.0, mid) if t_lo > t else mid
-    return PlanResult(assortment=best_items, value=best_val, certified_level=best_val,
-                      evaluations=counter.n, best_effort=not eps < best_val / 2.0)
+    return PlanResult(assortment=best_items, value=best_val, evaluations=counter.n,
+                      best_effort=not eps < best_val / 2.0)
 
 
 def plan_unconstrained(model: MnlModel, spec: RadiusSpec) -> PlanResult:
@@ -488,10 +491,9 @@ def plan_unconstrained(model: MnlModel, spec: RadiusSpec) -> PlanResult:
     values = robust_values(model, np.where(np.tri(n, dtype=bool), order, 0), spec)
     depth = int(np.argmax(values))  # the shortest of the best prefixes
     if not values[depth] > 0.0:
-        return PlanResult(assortment=(), value=0.0, certified_level=0.0, evaluations=n)
-    best_val = float(values[depth])
-    return PlanResult(assortment=tuple(sorted(order[:depth + 1].tolist())), value=best_val,
-                      certified_level=best_val, evaluations=n)
+        return PlanResult(assortment=(), value=0.0, evaluations=n)
+    return PlanResult(assortment=tuple(sorted(order[:depth + 1].tolist())),
+                      value=float(values[depth]), evaluations=n)
 
 
 def plan_uniform_revenue(model: MnlModel, k: int, spec: RadiusSpec) -> PlanResult:
@@ -505,8 +507,8 @@ def plan_uniform_revenue(model: MnlModel, k: int, spec: RadiusSpec) -> PlanResul
     items = tuple(sorted(order[:k]))
     val = float(robust_values(model, [items], spec)[0])
     if val <= 0.0:
-        return PlanResult(assortment=(), value=0.0, certified_level=0.0, evaluations=1)
-    return PlanResult(assortment=items, value=val, certified_level=val, evaluations=1)
+        return PlanResult(assortment=(), value=0.0, evaluations=1)
+    return PlanResult(assortment=items, value=val, evaluations=1)
 
 
 def plan_bruteforce(model: MnlModel, k: int, spec: RadiusSpec) -> PlanResult:
@@ -536,7 +538,7 @@ def plan_bruteforce(model: MnlModel, k: int, spec: RadiusSpec) -> PlanResult:
         if rows.size:
             tied.append((tuple(combos[rows[0]].tolist()), float(values[rows[0]])))
     winner, best_val = min(tied)
-    return PlanResult(assortment=winner, value=best_val, certified_level=best_val,
+    return PlanResult(assortment=winner, value=best_val,
                       evaluations=sum(values.size for _, values in by_size))
 
 

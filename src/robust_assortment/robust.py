@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChoiceDistribution, MnlModel, as_assortment, choice_rows, nominal_revenues
+from .model import (LAMBDA_FLOOR, ChoiceDistribution, MnlModel, as_assortment, choice_rows,
+                    nominal_revenues)
 from .radius import ZERO_RADIUS, RadiusSpec
 
-#: Lower end of the dual search bracket, relative to r_max.
-_LAMBDA_FLOOR = 1e-12
 #: Matrix entries the dual kernel works on at once, which bounds its scratch memory.
 _BLOCK_ENTRIES = 1 << 14
 #: Newton stops once a step in log(lam) is below this.  The tilt's KL error is
@@ -61,15 +60,6 @@ def _moments(logp: np.ndarray, R: np.ndarray, lam: np.ndarray):
     return log_m, q, -log_m - mean / lam, np.einsum("ij,ij,ij->i", q, dev, dev)
 
 
-def dual_objective(model: MnlModel, items, lam: float, rho_val: float) -> float:
-    """Dual criterion -lam*log E_{P(.|S)}[exp(-r/lam)] - lam*rho_val at lam > 0."""
-    if not lam > 0.0:
-        raise ValueError("lam must be positive")
-    P, R, _ = choice_rows(model, [as_assortment(items, model.n_items)])
-    log_m = _moments(_log_probs(P), R, np.array([float(lam)]))[0]
-    return -lam * float(log_m[0]) - lam * rho_val
-
-
 def _solve_block(logp: np.ndarray, R: np.ndarray, rho: np.ndarray, r_max: float):
     """(lam*, log E_P[exp(-r/lam*)], q_lam*) of each row, for radii rho > 0.
 
@@ -81,7 +71,7 @@ def _solve_block(logp: np.ndarray, R: np.ndarray, rho: np.ndarray, r_max: float)
     """
     n = rho.size
     out = (np.empty(n), np.empty(n), np.empty(R.shape))
-    lo = np.full(n, math.log(_LAMBDA_FLOOR * r_max))
+    lo = np.full(n, math.log(LAMBDA_FLOOR * r_max))
     hi = np.maximum(math.log(r_max) - np.log(rho), lo)  # a cap below the floor is clamped
     # floor and cap in one pass over the block stacked twice
     u = np.concatenate((lo, hi))
@@ -166,14 +156,6 @@ class DualEvaluation:
     radius: float
     worst_case: ChoiceDistribution
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "lambda_star": None if math.isinf(self.lambda_star) else self.lambda_star,
-            "radius": None if math.isinf(self.radius) else self.radius,
-            "worst_case": self.worst_case.to_dict(),
-        }
-
 
 def _tilted(probs, revs, beta: float):
     """Exponentially tilted distribution q_beta(i) ~ P(i) * exp(-beta*r_i)."""
@@ -185,10 +167,9 @@ def _tilted(probs, revs, beta: float):
 def _tilt_to_kl(probs, revs, rho_val: float):
     """Tilt until KL(q_beta || P) = rho_val; returns (q, revenue of q).
 
-    The reference tilt, in plain Python with ``fsum``: the primal oracle's
-    solver, and the certificate of ``robust_revenue`` where the kernel's tilt
-    does not attain the value.  Falls back to the infinite-tilt limit (all
-    mass on zero-revenue choices) when the ball is large enough to contain it.
+    The primal oracle's reference solver, in plain Python with ``fsum``.
+    Falls back to the infinite-tilt limit (all mass on zero-revenue choices)
+    when the ball is large enough to contain it.
     """
     nominal = math.fsum(p * r for p, r in zip(probs, revs))
     if rho_val <= 0.0:
@@ -234,21 +215,20 @@ def primal_robust_revenue_oracle(model: MnlModel, items, rho_val: float) -> floa
     return _tilt_to_kl(P[0].tolist(), R[0].tolist(), rho_val)[1]
 
 
-def robust_revenue(
-    model: MnlModel,
-    items,
-    spec: RadiusSpec,
-    tol: float = 1e-9,
-    allow_degenerate: bool = False,
-) -> DualEvaluation:
+def robust_revenue(model: MnlModel, items, spec: RadiusSpec,
+                   allow_degenerate: bool = False) -> DualEvaluation:
     """Robust expected revenue of ``items`` under the given radius rule.
 
     Solves the dual sup over lambda in [0, r_max/radius] as a batch of one in
     the dual kernel, as ``robust_values`` does, and attaches a worst-case
-    certificate inside the ball.  A radius below ``ZERO_RADIUS`` gives the
-    nominal expected revenue with lambda_star inf and certificate P; with
-    ``allow_degenerate`` an infeasible varying radius gives value 0 and a
-    certificate with all mass on zero-revenue choices.
+    certificate inside the ball: the kernel's tilt, which is P below
+    ``ZERO_RADIUS`` (lambda_star inf).  Where the value is floored at 0
+    (lambda_star 0) the tilt need not attain it; if the ball holds P
+    restricted to its zero-revenue choices (no purchase among them), that is
+    the certificate.  Otherwise the kernel stopped at its lambda floor, whose
+    tilt lies inside the ball and earns at most ``LAMBDA_FLOOR * r_max *
+    radius``.  With ``allow_degenerate`` an infeasible varying radius gives
+    value 0 and the zero-revenue certificate; without it, it raises.
     """
     items = as_assortment(items, model.n_items)
     P, R, weights = choice_rows(model, [items])
@@ -257,13 +237,9 @@ def robust_revenue(
         spec.radius(model, items)  # raises the RadiusInfeasibleError that names the set
     values, lam, tilt = _dual_batch(P, R, np.array([rho_val]), model.r_max)
     value, lam_star, q = float(values[0]), float(lam[0]), tilt[0]
-    # The certificate: P at the zero radius, and the kernel's tilt at an
-    # interior optimum, which attains the value; at the bracket's ends the KL
-    # constraint can be inactive in the tilting family, and then the tilt is
-    # bisected until it is active.
-    if lam_star < math.inf and not (lam_star > 0.0 and kl_divergence(q, P[0]) <= rho_val + 1e-8
-                                    and math.fsum(q * R[0]) <= value + tol):
-        q, _ = _tilt_to_kl(P[0].tolist(), R[0].tolist(), rho_val)
-    worst = ChoiceDistribution(support=(0, *items), probs=np.array(q))
+    if lam_star == 0.0:
+        zero = np.where(R[0] == 0.0, P[0], 0.0)
+        if rho_val >= -math.log(zero.sum()) - 1e-15:  # the slack forgives the log's last bits
+            q = zero / zero.sum()
+    worst = ChoiceDistribution(support=(0, *items), probs=q)
     return DualEvaluation(value=value, lambda_star=lam_star, radius=rho_val, worst_case=worst)
-

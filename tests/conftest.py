@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from robust_assortment import ConstantRadius, MnlModel, VaryingRadius
+from robust_assortment import ConstantRadius, MnlModel, VaryingRadius, as_assortment
+from robust_assortment.model import choice_rows
 
 
 def random_model(rng, n_min=2, n_max=10, r_max=None, uniform_revenue=False):
@@ -34,6 +35,11 @@ def random_assortment(rng, n, allow_empty=True):
         return ()
     items = rng.choice(n, size=size, replace=False) + 1
     return tuple(sorted(int(i) for i in items))
+
+
+def choice_probs(model, items):
+    """The conditional MNL choice probabilities of ``items``, no purchase first."""
+    return choice_rows(model, [as_assortment(items, model.n_items)])[0][0]
 
 
 @pytest.fixture

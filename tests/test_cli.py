@@ -290,3 +290,12 @@ def test_learn_k_below_one_is_one_error_line(tmp_path, capsys, k):
     assert main(["learn", "--data", str(data), "--k", k, "--rho", "0.1",
                  "--revenues", "1.0"]) == 1
     _one_error_line(capsys, "k must be")
+
+
+def test_plan_on_a_subnormal_revenue_scale_is_one_error_line(tmp_path, capsys):
+    # the dual's lambda floor, 1e-12 * r_max, would not be a normal float
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"attractions": [1, 2, 0.5, 1.5],
+                                "revenues": [1e-318, 5e-319, 8e-319, 2e-319]}))
+    assert main(["plan", "--model", str(path), "--rho", "0.1", "--k", "2"]) == 1
+    _one_error_line(capsys, "r_max")

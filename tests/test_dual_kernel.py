@@ -16,17 +16,18 @@ from robust_assortment import (
     NumericRangeError,
     RadiusInfeasibleError,
     VaryingRadius,
-    choice_probabilities,
     kl_divergence,
     nominal_expected_revenue,
     primal_robust_revenue_oracle,
     robust_revenue,
 )
 from robust_assortment import robust
-from robust_assortment.model import set_weights
+from robust_assortment.model import choice_rows, set_weights
 from robust_assortment.planning import _CurveFamily
 from robust_assortment.radius import ZERO_RADIUS
 from robust_assortment.robust import _dual_batch, robust_values
+
+from conftest import choice_probs
 
 TIED_REVENUES = (0.0, 0.25, 0.5, 1.0)
 
@@ -50,7 +51,7 @@ def _rows(cases):
     P = np.zeros((len(cases), width))
     R = np.zeros((len(cases), width))
     for row, (model, items, _) in enumerate(cases):
-        P[row, : len(items) + 1] = choice_probabilities(model, items).probs
+        P[row, : len(items) + 1] = choice_probs(model, items)
         R[row, 1: len(items) + 1] = model.revenues[np.array(items) - 1]
     return P, R, np.array([rho for _, _, rho in cases])
 
@@ -96,8 +97,19 @@ def test_batch_beyond_the_default_block_equals_batches_of_one():
         assert np.array_equal(one[2][0], tilt[row])
 
 
+# the value is floored at 0 (lambda_star 0) in both.  The one item that earns is
+# light, so at rho = 30 the ball holds P restricted to the zero-revenue choices;
+# a heavy item of revenue 1e-153 keeps most of the mass in any ball of radius 1,
+# so there the certificate is the kernel's tilt at its lambda floor
+_LIGHT_EARNER = MnlModel(attractions=np.array([1e-4, 1.0]), revenues=np.array([1.0, 0.0]),
+                         r_max=1.0)
+_TINY_EARNER = MnlModel(attractions=np.array([10.0]), revenues=np.array([1e-153]), r_max=1.0)
+
+
 @given(instances(), st.booleans())
 @settings(max_examples=150, deadline=None)
+@example(case=(_LIGHT_EARNER, (1, 2), 30.0), varying=False)
+@example(case=(_TINY_EARNER, (1,), 1.0), varying=False)
 def test_certificate_stays_inside_the_ball(case, varying):
     model, items, rho = case
     spec = ConstantRadius(rho)
@@ -105,8 +117,12 @@ def test_certificate_stays_inside_the_ball(case, varying):
         bound = math.log1p(1.0 / model.v_tot)
         spec = VaryingRadius(min(rho, 0.5 * bound), model.v_tot)
     ev = robust_revenue(model, items, spec, allow_degenerate=True)
-    probs = choice_probabilities(model, items).probs
-    assert kl_divergence(ev.worst_case.probs, probs) <= ev.radius + 1e-8
+    P, R, _ = choice_rows(model, [items])
+    q = ev.worst_case.probs
+    assert kl_divergence(q, P[0]) <= ev.radius + 1e-8
+    assert math.fsum(q * R[0]) <= ev.value + 1e-9
+    if ev.lambda_star == 0.0:
+        assert ev.value == 0.0
 
 
 def _infeasible_on_tiny_pair(model):
@@ -132,7 +148,7 @@ def test_zero_and_infeasible_rows():
     assert (ev.value, ev.lambda_star, ev.radius) == (0.0, 0.0, math.inf)
     assert ev.worst_case.probs.tolist() == [1.0, 0.0, 0.0]
     nominal = robust_values(model, np.array([[3, 0], [1, 3]]), ConstantRadius(0.0))
-    probs = choice_probabilities(model, (1, 3)).probs
+    probs = choice_probs(model, (1, 3))
     assert nominal[1] == pytest.approx(probs[1] * 1.0 + probs[2] * 0.5, abs=1e-15)
 
 
@@ -234,5 +250,5 @@ def test_overflowing_set_weight_is_a_typed_error():
             robust_values(model, [(1, 2)], spec)
         assert robust_values(model, [(1, 0)], spec)[0] >= 0.0  # one item alone fits
     with pytest.raises(NumericRangeError):
-        choice_probabilities(model, (1, 2))
+        choice_rows(model, [(1, 2)])
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -16,7 +17,21 @@ from robust_assortment import (
     point_and_lcb,
     rank_breaking,
 )
-from robust_assortment.estimation import _canonical_jsonl, _json_record, _read_records
+from robust_assortment.estimation import (
+    DEFAULT_V_CAP,
+    _canonical_jsonl,
+    _json_record,
+    _read_records,
+)
+
+
+def _write_csv(dataset, path):
+    """The CSV form ``load_dataset`` reads: semicolon-joined ids, then the choice."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["assortment", "choice"])
+        for items, choice in dataset.records:
+            writer.writerow([";".join(map(str, items)), choice])
 
 
 def test_rank_breaking_empty_dataset():
@@ -149,7 +164,7 @@ def test_dataset_files_keep_record_order(tmp_path):
     assert (tmp_path / "d.jsonl").read_text() == (
         '{"assortment": [2, 1], "choice": 1}\n{"assortment": [], "choice": 0}\n'
         '{"assortment": [3], "choice": 0}\n')
-    ds.to_csv(tmp_path / "d.csv")
+    _write_csv(ds, tmp_path / "d.csv")
     assert (tmp_path / "d.csv").read_bytes() == b"assortment,choice\r\n2;1,1\r\n,0\r\n3,0\r\n"
     assert load_dataset(tmp_path / "d.jsonl") == ds == load_dataset(tmp_path / "d.csv")
 
@@ -313,7 +328,7 @@ def test_point_and_lcb_saturated_win_rate():
     counts = rank_breaking(OfflineDataset([((1,), 1)] * n), 1)
     est = point_and_lcb(counts, delta=0.1)
     assert est.p_hat[0] == 1.0
-    assert est.v_hat[0] == est.v_cap
+    assert est.v_hat[0] == DEFAULT_V_CAP
     expected_lcb = 1.0 - math.log(10.0) / n
     assert est.p_lcb[0] == pytest.approx(expected_lcb, abs=1e-12)
     assert est.v_lcb[0] == pytest.approx(n / math.log(10.0), rel=1e-5)
@@ -378,7 +393,7 @@ def test_dataset_file_roundtrips(tmp_path, rng):
     ds.to_jsonl(jpath)
     assert load_dataset(jpath) == ds
     cpath = tmp_path / "data.csv"
-    ds.to_csv(cpath)
+    _write_csv(ds, cpath)
     assert load_dataset(cpath) == ds
 
 

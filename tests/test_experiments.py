@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 
 import numpy as np
@@ -12,7 +11,6 @@ from robust_assortment import (
     evaluate_level_slack,
     kl_divergence,
     plan_bruteforce,
-    robust_revenue,
 )
 from robust_assortment.experiments import (
     _FIG1_MODEL,
@@ -56,16 +54,6 @@ def test_worker_pool_matches_serial(tmp_path):
         la = [l for l in open(a).read().splitlines() if not l.startswith("# generated")]
         lb = [l for l in open(b).read().splitlines() if not l.startswith("# generated")]
         assert la == lb
-
-
-def test_dual_evaluation_serializes_to_json():
-    m = MnlModel(attractions=np.array([1.0, 0.5]), revenues=np.array([1.0, 0.2]), r_max=1.0)
-    ev = robust_revenue(m, (1, 2), ConstantRadius(0.2))
-    payload = json.loads(json.dumps(ev.to_dict()))
-    assert payload["value"] == pytest.approx(ev.value)
-    assert payload["worst_case"]["support"] == [0, 1, 2]
-    nominal = robust_revenue(m, (1,), ConstantRadius(0.0))
-    assert json.loads(json.dumps(nominal.to_dict()))["lambda_star"] is None
 
 
 def test_boosted_instance_bruteforce_recovers_boosted_triple():

@@ -11,7 +11,6 @@ from robust_assortment import (
     VaryingRadius,
     generate_dataset,
     learn_robust_assortment,
-    pessimistic_value,
     plan,
     plan_bruteforce,
     point_and_lcb,
@@ -19,6 +18,7 @@ from robust_assortment import (
     robust_revenue,
     suboptimality,
 )
+from robust_assortment.robust import robust_values
 from robust_assortment.simulate import instance_sample_efficiency
 
 from conftest import random_model
@@ -128,7 +128,11 @@ def test_pessimistic_value_lower_bounds_truth(rng):
             continue
         truth = robust_revenue(m, items, spec).value
         assert diag["pessimistic_value"] <= truth + 1e-8
-        assert pessimistic_value(est.v_lcb, cfg, items) == pytest.approx(
+        # the learner's value is the robust revenue on the model of its positive bounds
+        keep = np.flatnonzero(est.v_lcb > 0.0)
+        sub = MnlModel(attractions=est.v_lcb[keep], revenues=m.revenues[keep], r_max=1.0)
+        sub_items = [int(np.searchsorted(keep, i - 1)) + 1 for i in items]
+        assert robust_values(sub, [sub_items], spec)[0] == pytest.approx(
             diag["pessimistic_value"], abs=1e-9
         )
     assert checked >= 20

@@ -8,33 +8,35 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from robust_assortment import (
-    ChoiceDistribution,
+    ConstantRadius,
     InvalidAssortmentError,
     MnlModel,
     ModelFormatError,
     NumericRangeError,
     as_assortment,
-    choice_probabilities,
-    expected_revenue,
     generate_dataset,
     load_model,
     nominal_expected_revenue,
-    sample_choice,
+    plan,
+    robust_revenue,
     save_model,
 )
+from robust_assortment.model import LAMBDA_FLOOR, choice_rows, nominal_revenues
+
+from conftest import choice_probs
 
 
 def test_choice_probabilities_equal_attractions():
-    m = MnlModel(attractions=np.array([1.0, 1.0]), revenues=np.array([1.0, 1.0]))
-    d = choice_probabilities(m, (1, 2))
-    assert d.support == (0, 1, 2)
-    np.testing.assert_allclose(d.probs, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
+    m = MnlModel(attractions=np.array([1.0, 1.0]), revenues=np.array([1.0, 0.5]))
+    P, R, weights = choice_rows(m, [(2, 1)])
+    np.testing.assert_allclose(P[0], [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
+    assert R[0].tolist() == [0.0, 1.0, 0.5]  # no purchase first, then ascending ids
+    assert weights.tolist() == [3.0]
 
 
 def test_choice_probabilities_single_item():
     m = MnlModel(attractions=np.array([3.0]), revenues=np.array([1.0]))
-    d = choice_probabilities(m, (1,))
-    np.testing.assert_allclose(d.probs, [0.25, 0.75], atol=1e-15)
+    np.testing.assert_allclose(choice_probs(m, (1,)), [0.25, 0.75], atol=1e-15)
 
 
 def test_choice_probabilities_boosted_instance():
@@ -42,33 +44,24 @@ def test_choice_probabilities_boosted_instance():
     v = np.full(15, 1 / 3)
     v[:3] += 0.01
     m = MnlModel(attractions=v, revenues=np.ones(15))
-    d = choice_probabilities(m, (1, 2, 3))
-    assert d.probs[0] == pytest.approx(1 / 2.03, abs=1e-12)
+    assert choice_probs(m, (1, 2, 3))[0] == pytest.approx(1 / 2.03, abs=1e-12)
 
 
 def test_expected_revenue_point_mass_on_no_purchase():
     m = MnlModel(attractions=np.array([1.0, 2.0]), revenues=np.array([1.0, 1.0]))
-    d = ChoiceDistribution(support=(0, 1, 2), probs=np.array([1.0, 0.0, 0.0]))
-    assert expected_revenue((1, 2), d, m) == 0.0
+    R = choice_rows(m, [(1, 2)])[1]
+    assert nominal_revenues(np.array([[1.0, 0.0, 0.0]]), R)[0] == 0.0
 
 
 def test_expected_revenue_uniform():
     m = MnlModel(attractions=np.array([1.0, 2.0]), revenues=np.array([1.0, 1.0]))
-    d = ChoiceDistribution(support=(0, 1, 2), probs=np.full(3, 1 / 3))
-    assert expected_revenue((1, 2), d, m) == pytest.approx(2 / 3, abs=1e-15)
+    R = choice_rows(m, [(1, 2)])[1]
+    assert nominal_revenues(np.full((1, 3), 1 / 3), R)[0] == pytest.approx(2 / 3, abs=1e-15)
 
 
 def test_expected_revenue_mnl_conditional():
     m = MnlModel(attractions=np.array([1.0, 1.0]), revenues=np.array([1.0, 0.5]))
-    d = choice_probabilities(m, (1, 2))
-    assert expected_revenue((1, 2), d, m) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_expected_revenue_support_mismatch():
-    m = MnlModel(attractions=np.array([1.0, 1.0]), revenues=np.array([1.0, 0.5]))
-    d = choice_probabilities(m, (1,))
-    with pytest.raises(ValueError):
-        expected_revenue((1, 2), d, m)
+    assert nominal_expected_revenue(m, (1, 2)) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_nominal_expected_revenue_cases():
@@ -81,12 +74,11 @@ def test_nominal_expected_revenue_cases():
 
 def test_sample_choice_empty_assortment(rng):
     m = MnlModel(attractions=np.array([1.0]), revenues=np.array([1.0]))
-    assert all(sample_choice(m, (), rng) == 0 for _ in range(10))
+    assert np.all(_draws(m, (), 10, rng) == 0)
 
 
 def _draws(model, items, n, rng):
-    """n choices from ``items``, drawn in one ``generate_dataset`` call; it samples
-    through the same inverse-CDF draw as ``sample_choice``, a batch at a time."""
+    """n choices from ``items``, drawn in one ``generate_dataset`` call."""
     return generate_dataset(model, np.tile(np.array(items, dtype=np.int64), (n, 1)), rng).choices
 
 
@@ -108,11 +100,10 @@ def test_sample_choice_frequencies(rng):
 def test_sampling_chi_square(rng):
     m = MnlModel(attractions=np.array([0.5, 2.0, 1.0]), revenues=np.array([1.0, 1.0, 1.0]))
     items = (1, 2, 3)
-    d = choice_probabilities(m, items)
     n = 10 ** 5
     draws = _draws(m, items, n, rng)
-    observed = np.array([np.sum(draws == c) for c in d.support])
-    _, p_value = stats.chisquare(observed, n * d.probs)
+    observed = np.array([np.sum(draws == c) for c in (0, *items)])
+    _, p_value = stats.chisquare(observed, n * choice_probs(m, items))
     assert p_value > 0.001
 
 
@@ -124,9 +115,9 @@ def test_probability_invariants(n, seed):
                  revenues=gen.uniform(0.0, 1.0, size=n), r_max=1.0)
     size = int(gen.integers(0, n + 1))
     items = tuple(sorted(gen.choice(n, size=size, replace=False) + 1)) if size else ()
-    d = choice_probabilities(m, items)
-    assert np.all(d.probs >= 0.0)
-    assert abs(float(d.probs.sum()) - 1.0) <= 1e-12
+    probs = choice_probs(m, items)
+    assert np.all(probs >= 0.0)
+    assert abs(float(probs.sum()) - 1.0) <= 1e-12
     assert 0.0 <= nominal_expected_revenue(m, items) <= m.r_max + 1e-12
 
 
@@ -136,10 +127,10 @@ def test_doubling_attractions_shifts_mass():
                  revenues=np.ones(5))
     doubled = MnlModel(attractions=2 * m.attractions, revenues=m.revenues)
     items = (1, 3, 5)
-    before = choice_probabilities(m, items)
-    after = choice_probabilities(doubled, items)
-    assert after.probs[0] < before.probs[0]
-    assert np.all(after.probs[1:] > before.probs[1:])
+    before = choice_probs(m, items)
+    after = choice_probs(doubled, items)
+    assert after[0] < before[0]
+    assert np.all(after[1:] > before[1:])
 
 
 def test_model_json_roundtrip(tmp_path):
@@ -179,7 +170,21 @@ def test_model_payload_without_field_names_it():
 def test_overflow_guard():
     m = MnlModel(attractions=np.array([1e308, 1e308]), revenues=np.array([1.0, 1.0]))
     with pytest.raises(NumericRangeError):
-        choice_probabilities(m, (1, 2))
+        choice_rows(m, [(1, 2)])
+
+
+def test_subnormal_revenue_scale_is_a_typed_error():
+    # the dual kernel brackets lambda from LAMBDA_FLOOR * r_max up, so that
+    # product must be a normal float
+    with pytest.raises(NumericRangeError, match="r_max"):
+        MnlModel(attractions=np.array([1.0, 2.0, 0.5, 1.5]),
+                 revenues=np.array([1e-318, 5e-319, 8e-319, 2e-319]))
+    with pytest.raises(NumericRangeError, match="r_max"):
+        MnlModel(attractions=np.ones(2), revenues=np.array([0.0, 1e-300]), r_max=1e-297)
+    r_max = 2.0 * np.finfo(float).tiny / LAMBDA_FLOOR  # the smallest scales accepted
+    m = MnlModel(attractions=np.array([1.0, 2.0, 0.5]), revenues=r_max * np.array([1.0, 0.5, 0.8]))
+    assert 0.0 < robust_revenue(m, (1, 2), ConstantRadius(0.1)).value < r_max
+    assert plan(m, 2, ConstantRadius(0.1)).value > 0.0
 
 
 def test_as_assortment_validation():

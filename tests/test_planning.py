@@ -13,7 +13,6 @@ from robust_assortment import (
     MnlModel,
     RadiusInfeasibleError,
     VaryingRadius,
-    choice_probabilities,
     evaluate_level_slack,
     intersection_points,
     plan,
@@ -40,7 +39,7 @@ from robust_assortment.planning import (
     _search,
 )
 
-from conftest import random_model, random_spec
+from conftest import choice_probs, random_model, random_spec
 
 TIED_REVENUES = (0.0, 0.25, 0.5, 1.0)
 
@@ -339,7 +338,7 @@ def test_level_slack_monotone_in_level(rng):
 
 def test_plan_unconstrained_single_item_threshold():
     m = MnlModel(attractions=np.array([1.0]), revenues=np.array([1.0]), r_max=1.0)
-    p0 = choice_probabilities(m, (1,)).probs[0]
+    p0 = choice_probs(m, (1,))[0]
     inside = ConstantRadius(-math.log(p0) * 0.9)
     outside = ConstantRadius(-math.log(p0) * 1.1)
     assert plan_unconstrained(m, inside).assortment == (1,)

@@ -7,25 +7,32 @@ from robust_assortment import (
     ConstantRadius,
     MnlModel,
     VaryingRadius,
-    choice_probabilities,
-    dual_objective,
-    expected_revenue,
     kl_divergence,
     nominal_expected_revenue,
     primal_robust_revenue_oracle,
     radius,
     robust_revenue,
 )
+from robust_assortment import robust
+from robust_assortment.model import choice_rows
 from robust_assortment.radius import ZERO_RADIUS
 
-from conftest import random_assortment, random_model, random_spec
+from conftest import choice_probs, random_assortment, random_model, random_spec
+
+
+def _dual_objective(model, items, lam, rho_val):
+    """The dual criterion -lam*log E_P[exp(-r/lam)] - lam*rho_val of one set at
+    lam > 0, from the dual kernel's moments."""
+    P, R, _ = choice_rows(model, [items])
+    log_m = robust._moments(robust._log_probs(P), R, np.array([lam]))[0]
+    return -lam * float(log_m[0]) - lam * rho_val
 
 
 def test_dual_objective_zero_radius_large_lambda():
     m = MnlModel(attractions=np.array([0.7, 1.5]), revenues=np.array([0.9, 0.3]), r_max=1.0)
     items = (1, 2)
     lam = 1e8 * m.r_max
-    assert dual_objective(m, items, lam, 0.0) == pytest.approx(
+    assert _dual_objective(m, items, lam, 0.0) == pytest.approx(
         nominal_expected_revenue(m, items), abs=1e-6 * m.r_max
     )
 
@@ -33,23 +40,23 @@ def test_dual_objective_zero_radius_large_lambda():
 def test_dual_objective_uniform_revenue_closed_form():
     m = MnlModel(attractions=np.array([1.2, 0.4]), revenues=np.array([2.0, 2.0]), r_max=2.0)
     items = (1, 2)
-    p0 = choice_probabilities(m, items).probs[0]
+    p0 = choice_probs(m, items)[0]
     for lam in (0.3, 1.0, 5.0):
         expected = -lam * math.log(p0 + (1 - p0) * math.exp(-m.r_max / lam)) - lam * 0.25
-        assert dual_objective(m, items, lam, 0.25) == pytest.approx(expected, abs=1e-14)
+        assert _dual_objective(m, items, lam, 0.25) == pytest.approx(expected, abs=1e-14)
 
 
 def test_dual_objective_single_item_worked_example():
     r_max = 2.0
     m = MnlModel(attractions=np.array([1.0]), revenues=np.array([r_max]), r_max=r_max)
-    value = dual_objective(m, (1,), r_max, 0.1)
+    value = _dual_objective(m, (1,), r_max, 0.1)
     expected = -r_max * math.log((1 + math.exp(-1)) / 2) - 0.1 * r_max
     assert value == pytest.approx(expected, abs=1e-14)
 
 
 def test_dual_objective_vanishing_lambda_limit():
     m = MnlModel(attractions=np.array([1.0, 2.0]), revenues=np.array([1.0, 0.5]), r_max=1.0)
-    assert abs(dual_objective(m, (1, 2), 1e-14, 0.3)) <= 1e-12
+    assert abs(_dual_objective(m, (1, 2), 1e-14, 0.3)) <= 1e-12
 
 
 def test_robust_revenue_zero_radius_is_nominal():
@@ -97,9 +104,9 @@ def test_dual_concavity_midpoint(rng):
         for _ in range(500):
             a = float(rng.uniform(1e-6 * cap, cap))
             b = float(rng.uniform(1e-6 * cap, cap))
-            fa = dual_objective(m, items, a, rho_val)
-            fb = dual_objective(m, items, b, rho_val)
-            fm = dual_objective(m, items, 0.5 * (a + b), rho_val)
+            fa = _dual_objective(m, items, a, rho_val)
+            fb = _dual_objective(m, items, b, rho_val)
+            fm = _dual_objective(m, items, 0.5 * (a + b), rho_val)
             assert fm >= 0.5 * (fa + fb) - 1e-9
 
 
@@ -119,11 +126,10 @@ def test_certificate_validity(rng):
         m = random_model(rng, n_min=1, n_max=8)
         items = random_assortment(rng, m.n_items, allow_empty=False)
         spec = random_spec(rng, m)
-        ev = robust_revenue(m, items, spec, tol=1e-9)
-        probs = choice_probabilities(m, items).probs
-        assert kl_divergence(ev.worst_case.probs, probs) <= ev.radius + 1e-8
-        attained = expected_revenue(items, ev.worst_case, m)
-        assert attained <= ev.value + 1e-6
+        ev = robust_revenue(m, items, spec)
+        P, R, _ = choice_rows(m, [items])
+        assert kl_divergence(ev.worst_case.probs, P[0]) <= ev.radius + 1e-8
+        assert math.fsum(ev.worst_case.probs * R[0]) <= ev.value + 1e-6
         assert ev.value <= nominal_expected_revenue(m, items) + 1e-12
         assert 0.0 <= ev.lambda_star <= m.r_max / ev.radius + 1e-9 or math.isinf(ev.lambda_star)
 
@@ -134,7 +140,7 @@ def test_primal_oracle_trivial_cases():
     assert primal_robust_revenue_oracle(m, items, 0.0) == pytest.approx(
         nominal_expected_revenue(m, items), abs=1e-12
     )
-    p0 = choice_probabilities(m, items).probs[0]
+    p0 = choice_probs(m, items)[0]
     assert primal_robust_revenue_oracle(m, items, -math.log(p0) + 0.01) == 0.0
 
 
@@ -153,7 +159,7 @@ def test_primal_oracle_against_dense_grid():
     # boundary-attained, so a coarse sweep locates the bracket and a dense
     # million-point grid inside it pins the value to 1e-6
     m = MnlModel(attractions=np.array([1.0]), revenues=np.array([1.0]), r_max=1.0)
-    probs = choice_probabilities(m, (1,)).probs
+    probs = choice_probs(m, (1,))
     revs = np.array([0.0, 1.0])
     _, beta_coarse = _tilt_grid_min(probs, revs, 0.1, np.linspace(0.0, 50.0, 10 ** 4))
     width = 2 * 50.0 / 10 ** 4

@@ -11,7 +11,6 @@ from robust_assortment import (
     InvalidAssortmentError,
     MnlModel,
     RobustAssortmentError,
-    choice_probabilities,
     generate_dataset,
     instance_cardinality,
     instance_sample_efficiency,
@@ -20,11 +19,12 @@ from robust_assortment import (
     plan,
     random_schedule,
     rank_breaking,
-    sample_choice,
     shift_metrics,
 )
 from robust_assortment.model import choice_rows
 from robust_assortment.simulate import _reach, model_from_prior, prior_of
+
+from conftest import choice_probs
 
 
 def test_instance_sample_efficiency_model_values():
@@ -99,8 +99,7 @@ def test_generate_dataset_frequencies(rng):
     schedule = [(1, 2)] * 50000 + [(1, 2, 3)] * 50000
     ds = generate_dataset(m, schedule, rng)
     counts = rank_breaking(ds, 3)
-    expected_wins_1 = 50000 * choice_probabilities(m, (1, 2)).probs[1] + \
-        50000 * choice_probabilities(m, (1, 2, 3)).probs[1]
+    expected_wins_1 = 50000 * (choice_probs(m, (1, 2))[1] + choice_probs(m, (1, 2, 3))[1])
     sigma = math.sqrt(expected_wins_1)  # binomial mixture, conservative scale
     assert abs(counts.wins[0] - expected_wins_1) <= 4 * sigma
 
@@ -286,7 +285,6 @@ def test_generate_dataset_draw_at_top_of_unit_interval():
             return np.full(size, top)
 
     assert generate_dataset(m, [(1, 2)] * 3, TopDraw()).records == [((1, 2), 2)] * 3
-    assert sample_choice(m, (1, 2), TopDraw()) == 2
 
 
 def test_random_schedule_validity(rng):
