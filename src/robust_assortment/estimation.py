@@ -54,7 +54,12 @@ class OfflineDataset:
 
     @classmethod
     def from_arrays(cls, offsets, items, choices) -> "OfflineDataset":
-        """The dataset of these CSR arrays, copied after a check of their shapes."""
+        """The dataset of copies of these CSR arrays, after a check of their shapes."""
+        return cls._owned(*[np.array(a) for a in (offsets, items, choices)])
+
+    @classmethod
+    def _owned(cls, offsets, items, choices) -> "OfflineDataset":
+        """``from_arrays`` of arrays no one else holds, kept as they are when int64."""
         dataset = cls.__new__(cls)
         dataset._store(offsets, items, choices)
         return dataset
@@ -68,7 +73,7 @@ class OfflineDataset:
                 or offsets[-1] != items.size or np.any(np.diff(offsets) < 0)):
             raise DataValidationError("offsets, items and choices must be 1-D integer arrays, "
                                       "offsets rising from 0 to len(items), one step per choice")
-        self.offsets, self.items, self.choices = arrays = [a.astype(np.int64) for a in arrays]
+        self.offsets, self.items, self.choices = arrays = [np.asarray(a, np.int64) for a in arrays]
         for a in arrays:
             a.flags.writeable = False
 
@@ -179,13 +184,13 @@ def _canonical_jsonl(data: bytes) -> OfflineDataset | None:
     its slots for an item; so every slot holds exactly one token.
     """
     if not data:
-        return OfflineDataset.from_arrays([0], [], [])
+        return OfflineDataset._owned([0], [], [])
     tokens = _canonical_tokens(np.frombuffer(data, dtype=np.uint8))
     if tokens is None:
         return None
     values, last, counts = tokens
-    return OfflineDataset.from_arrays(np.concatenate(([0], np.cumsum(counts - 1))),
-                                      values[~last], values[last])
+    return OfflineDataset._owned(np.concatenate(([0], np.cumsum(counts - 1))),
+                                 values[~last], values[last])
 
 
 def _canonical_tokens(buf: np.ndarray):
@@ -264,7 +269,7 @@ def _read_records(path, rows, parse) -> OfflineDataset:
                                       record_index=len(choices)) from exc
         sets.append(ids)
         choices.append(choice)
-    return OfflineDataset.from_arrays(*_csr(sets), choices)
+    return OfflineDataset._owned(*_csr(sets), choices)
 
 
 def _fields(row: dict):

@@ -16,6 +16,12 @@ V0 = 1.0
 LAMBDA_FLOOR = 1e-12
 
 
+def column_sums(x: np.ndarray) -> np.ndarray:
+    """Sums down the columns of the C-contiguous ``x``, adding its rows in order, so zero
+    rows never move a sum; numpy sums a lone column pairwise, so that one accumulates."""
+    return x.sum(axis=0) if x.shape[1] > 1 else np.add.accumulate(x, axis=0)[-1]
+
+
 def set_weights(rows) -> np.ndarray:
     """Total attraction W(S) = V0 + v(S) of each row of attractions.
 
@@ -202,7 +208,7 @@ def _ascending(flat: np.ndarray, offsets: np.ndarray) -> bool:
 
 def nominal_revenues(P: np.ndarray, R: np.ndarray) -> np.ndarray:
     """Expected revenue of each choice row: the dual kernel's zero-radius value."""
-    return np.einsum("ij,ij->i", P, R)
+    return column_sums(np.ascontiguousarray((P * R).T))
 
 
 def nominal_expected_revenue(model: MnlModel, items) -> float:

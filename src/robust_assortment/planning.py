@@ -37,6 +37,7 @@ _PARTS = 4
 _LEAST_WIDTH = 1e-15
 # a search opens on this many points, a factor of 4 apart and ending at hi
 _GRID = 16
+_BRUTE_SETS = 1 << 16  # plan_bruteforce's sets per kernel call, bounding its scratch memory
 
 
 @dataclass(frozen=True)
@@ -421,17 +422,16 @@ def evaluate_level_slack(model: MnlModel, k: int, spec: RadiusSpec, level: float
 def plan_general(model: MnlModel, k: int, spec: RadiusSpec, eps: float) -> PlanResult:
     """eps-optimal robust assortment by a witness-driven search over revenue levels.
 
-    The k revenue-ordered prefixes are scored in one batch, and the best one
-    seeds the search: its value is the first lower end, and the first probe
-    sits eps/2 above it (at r_max/2 when no prefix scores above 0).  A probe at
-    level t returns whether t is feasible, whether its slack misses the target
-    by at most the inner tolerance ("near", which ends the search), and a
-    witness set.  The best witness seen is returned.  The search ends when the
-    bracket is at most eps/2 wide.
+    The best revenue-ordered prefix of size <= k seeds the search with its value
+    from the prefixes' one batch, which is its own robust revenue bit for bit:
+    the first lower end, with the first probe eps/2 above it (r_max/2 when no
+    prefix scores above 0).  A probe at level t returns whether t is feasible,
+    whether its slack misses the target by at most the inner tolerance ("near",
+    which ends the search), and a witness set.  The best set seen is returned.
+    The search ends when the bracket is at most eps/2 wide.
     """
-    n = model.n_items
-    if not 1 <= k <= n:
-        raise ValueError(f"k must lie in 1..{n}")
+    if not 1 <= k <= model.n_items:
+        raise ValueError(f"k must lie in 1..{model.n_items}")
     if not eps > 0.0:
         raise ValueError("eps must be positive")
 
@@ -454,14 +454,7 @@ def plan_general(model: MnlModel, k: int, spec: RadiusSpec, eps: float) -> PlanR
                                                       tol=eps_inner)
             return achieved, not achieved and slack <= fam.target + eps_inner, items
 
-    # the seed: the best revenue-ordered prefix of size <= k, scored again alone
-    # because a padded batch's rows round differently from a set's own row
-    order = np.lexsort((np.arange(n), -model.revenues))[:k].astype(np.int32) + 1  # by (-r_i, i)
-    depth = int(np.argmax(robust_values(model, np.where(np.tri(k, dtype=bool), order, 0), spec)))
-    best_items = tuple(sorted(order[:depth + 1].tolist()))
-    best_val = float(robust_values(model, [best_items], spec)[0])
-    if not best_val > 0.0:
-        best_items, best_val = (), 0.0
+    best_items, best_val = _best_prefix(model, k, spec)
     t_lo, t_hi = best_val, model.r_max
     mid = 0.5 * (t_lo + t_hi)
     t = min(t_lo + eps / 2.0, mid) if t_lo > 0.0 else mid
@@ -484,16 +477,20 @@ def plan_general(model: MnlModel, k: int, spec: RadiusSpec, eps: float) -> PlanR
                       best_effort=not eps < best_val / 2.0)
 
 
+def _best_prefix(model: MnlModel, k: int, spec: RadiusSpec):
+    """The best revenue-ordered prefix of size <= k (ties to the shortest) and its value."""
+    order = np.lexsort((np.arange(model.n_items), -model.revenues))[:k].astype(np.int32) + 1
+    values = robust_values(model, np.where(np.tri(k, dtype=bool), order, 0), spec)
+    depth = int(np.argmax(values))
+    if not values[depth] > 0.0:
+        return (), 0.0
+    return tuple(sorted(order[:depth + 1].tolist())), float(values[depth])
+
+
 def plan_unconstrained(model: MnlModel, spec: RadiusSpec) -> PlanResult:
     """Exact unconstrained planner: the optimum is a revenue-ordered prefix."""
-    n = model.n_items
-    order = np.lexsort((np.arange(n), -model.revenues)).astype(np.int32) + 1  # by (-r_i, i)
-    values = robust_values(model, np.where(np.tri(n, dtype=bool), order, 0), spec)
-    depth = int(np.argmax(values))  # the shortest of the best prefixes
-    if not values[depth] > 0.0:
-        return PlanResult(assortment=(), value=0.0, evaluations=n)
-    return PlanResult(assortment=tuple(sorted(order[:depth + 1].tolist())),
-                      value=float(values[depth]), evaluations=n)
+    items, value = _best_prefix(model, model.n_items, spec)
+    return PlanResult(assortment=items, value=value, evaluations=model.n_items)
 
 
 def plan_uniform_revenue(model: MnlModel, k: int, spec: RadiusSpec) -> PlanResult:
@@ -512,34 +509,29 @@ def plan_uniform_revenue(model: MnlModel, k: int, spec: RadiusSpec) -> PlanResul
 
 
 def plan_bruteforce(model: MnlModel, k: int, spec: RadiusSpec) -> PlanResult:
-    """Exhaustive oracle: evaluates every assortment of size <= k.
-
+    """Exhaustive oracle: scores every assortment of size <= k in one kernel call
+    per ``_BRUTE_SETS`` sets, each value the set's own robust revenue bit for bit.
     Ties within a hair of the maximum break to the lexicographically smallest
-    sorted item tuple (so the empty set wins exact ties).
-    """
+    sorted item tuple (so the empty set, which scores 0, wins exact ties)."""
     n = model.n_items
     if n > 22:
         raise ValueError("plan_bruteforce is limited to n_items <= 22")
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in 0..{n}")
-    # one kernel call per set size; combinations come in lexicographic order
-    by_size = [(np.zeros((1, 0), dtype=np.intp), np.zeros(1))]  # the empty set scores 0
+    # rows by size from the empty set up, lexicographic within a size, zero-padded to k
+    sizes = np.repeat(np.arange(k + 1), [math.comb(n, size) for size in range(k + 1)])
+    sets = np.zeros((sizes.size, k), dtype=np.intp)
     for size in range(1, k + 1):
-        combos = np.fromiter(
+        sets[sizes == size, :size] = np.fromiter(
             itertools.chain.from_iterable(itertools.combinations(range(1, n + 1), size)),
             dtype=np.intp).reshape(-1, size)
-        by_size.append((combos, robust_values(model, combos, spec)))
-    best_val = max(float(values.max()) for _, values in by_size)
-    tie = 1e-10 * model.r_max
+    values = np.concatenate([robust_values(model, sets[i:i + _BRUTE_SETS], spec)
+                             for i in range(0, len(sets), _BRUTE_SETS)])
     # the lexicographically smallest tied set: the first tied row of each size, then min
-    tied = []
-    for combos, values in by_size:
-        rows = np.nonzero(values >= best_val - tie)[0]
-        if rows.size:
-            tied.append((tuple(combos[rows[0]].tolist()), float(values[rows[0]])))
-    winner, best_val = min(tied)
-    return PlanResult(assortment=winner, value=best_val,
-                      evaluations=sum(values.size for _, values in by_size))
+    tied = np.nonzero(values >= values.max() - 1e-10 * model.r_max)[0]
+    firsts = tied[np.unique(sizes[tied], return_index=True)[1]]
+    winner, best_val = min((tuple(sets[i, :sizes[i]].tolist()), float(values[i])) for i in firsts)
+    return PlanResult(assortment=winner, value=best_val, evaluations=values.size)
 
 
 def plan(model: MnlModel, k: int, spec: RadiusSpec, eps: float | None = None) -> PlanResult:

@@ -3,9 +3,9 @@
 The dual of one assortment is phi(lam) = -lam*log E_P[exp(-r/lam)] - lam*rho
 on (0, r_max/rho], with phi'(lam) = KL(q_lam || P) - rho for the exponential
 tilt q_lam ~ P*exp(-r/lam).  ``_dual_batch`` solves it for many assortments
-at once (one zero-padded row each) with log-sum-exp shifts and a safeguarded
-Newton iteration on log(lam).  The independent primal oracle bisects the tilt
-parameter itself until the KL constraint is active.
+at once (one set per column of a block) with log-sum-exp shifts and a
+safeguarded Newton iteration on log(lam).  The independent primal oracle
+bisects the tilt parameter itself until the KL constraint is active.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (LAMBDA_FLOOR, ChoiceDistribution, MnlModel, as_assortment, choice_rows,
-                    nominal_revenues)
+                    column_sums, nominal_revenues)
 from .radius import ZERO_RADIUS, RadiusSpec
 
 #: Matrix entries the dual kernel works on at once, which bounds its scratch memory.
@@ -40,99 +40,96 @@ def kl_divergence(q, p) -> float:
     return float(np.sum(q * np.log(q / p)))
 
 
-def _log_probs(P: np.ndarray) -> np.ndarray:
-    """Elementwise log, with -inf for the zero padding."""
-    return np.log(P, out=np.full(P.shape, -np.inf), where=P > 0.0)
-
-
 def _moments(logp: np.ndarray, R: np.ndarray, lam: np.ndarray):
-    """Per row: log E_P[exp(-r/lam)] (log-sum-exp), tilt q_lam, KL(q_lam||P), Var_q(r)."""
-    q = R / -lam[:, None]
+    """Per column (one set each): log E_P[exp(-r/lam)], tilt q_lam, KL(q_lam||P), Var_q(r)."""
+    q = R / -lam
     q += logp
-    zmax = q.max(axis=1)
-    q -= zmax[:, None]
+    zmax = q.max(axis=0)
+    q -= zmax
     np.exp(q, out=q)
-    total = q.sum(axis=1)
-    q /= total[:, None]
+    total = column_sums(q)
+    q /= total
     log_m = zmax + np.log(total)
-    mean = np.einsum("ij,ij->i", q, R)
-    dev = R - mean[:, None]
-    return log_m, q, -log_m - mean / lam, np.einsum("ij,ij,ij->i", q, dev, dev)
+    mean = column_sums(q * R)
+    dev = R - mean
+    return log_m, q, -log_m - mean / lam, column_sums(q * dev * dev)
 
 
 def _solve_block(logp: np.ndarray, R: np.ndarray, rho: np.ndarray, r_max: float):
-    """(lam*, log E_P[exp(-r/lam*)], q_lam*) of each row, for radii rho > 0.
+    """(lam*, log E_P[exp(-r/lam*)], q_lam*) of each column, for radii rho > 0.
 
-    phi' = KL(q_lam || P) - rho decreases in lam: rows with phi' <= 0 at the
-    floor (infinite radii among them) or >= 0 at the cap stop there.  The rest
-    run Newton from the cap on u = log(lam) for g = log(KL/rho), which has the
-    sign of phi' and dg/du = -Var_q(r)/(lam^2 KL); the log straightens the
-    KL ~ e^{-2u} tail.  Steps leaving the sign bracket [lo, hi] bisect it.
+    phi' = KL(q_lam || P) - rho decreases in lam: columns with phi' <= 0 at the
+    floor (infinite radii among them) or >= 0 at the cap stop there, in round
+    one.  The rest run Newton from the cap on u = log(lam) for g = log(KL/rho),
+    which has the sign of phi' and dg/du = -Var_q(r)/(lam^2 KL); the log
+    straightens the KL ~ e^{-2u} tail.  Steps leaving the sign bracket [lo, hi]
+    bisect it.  Stopped columns leave; ``take``/``compress`` keep the rest C-ordered.
     """
     n = rho.size
     out = (np.empty(n), np.empty(n), np.empty(R.shape))
     lo = np.full(n, math.log(LAMBDA_FLOOR * r_max))
     hi = np.maximum(math.log(r_max) - np.log(rho), lo)  # a cap below the floor is clamped
-    # floor and cap in one pass over the block stacked twice
+    # floor and cap in one pass over the block placed twice side by side
     u = np.concatenate((lo, hi))
     lam = np.exp(u)
-    log_m, q, kl, var = _moments(np.concatenate((logp, logp)), np.concatenate((R, R)), lam)
+    log_m, q, kl, var = _moments(np.concatenate((logp, logp), axis=1),
+                                 np.concatenate((R, R), axis=1), lam)
     idx = np.arange(n)
     at_floor = kl[:n] <= rho
     settled = at_floor | (kl[n:] >= rho)
     pick = np.where(at_floor, idx, idx + n)
-    for dst, src in zip(out, (lam, log_m, q)):
-        dst[settled] = src[pick[settled]]
-    pick = pick[~settled]
-    u, lam, log_m, q, kl, var = (a[pick] for a in (u, lam, log_m, q, kl, var))
-    idx, logp, R, rho, lo, hi = (a[~settled] for a in (idx, logp, R, rho, lo, hi))
-    for _ in range(_MAX_ITER):
-        if idx.size == 0:
-            break
+    u, lam, log_m, q, kl, var = (a.take(pick, axis=-1) for a in (u, lam, log_m, q, kl, var))
+    for it in range(_MAX_ITER):
         above = kl > rho
         lo = np.where(above, u, lo)
         hi = np.where(above, hi, u)
-        pos = kl > 0.0
+        pos = ~settled & (kl > 0.0)
         num = np.log(kl / rho, out=np.zeros(idx.size), where=pos) * kl * lam * lam
         # the Newton step is num/var; it is taken only when it stays inside the bracket
         newton = pos & (np.abs(num) < var * (hi - lo))
         step = np.divide(num, var, out=np.zeros(idx.size), where=newton)
-        stop = (newton & (np.abs(step) <= _STEP_TOL)) | (hi - lo <= _STEP_TOL)
+        stop = (settled | (newton & (np.abs(step) <= _STEP_TOL)) | (hi - lo <= _STEP_TOL)
+                | (it == _MAX_ITER - 1))
         u_next = u + step
-        u_next = np.where(newton & (u_next > lo) & (u_next < hi), u_next, 0.5 * (lo + hi))
+        u = np.where(newton & (u_next > lo) & (u_next < hi), u_next, 0.5 * (lo + hi))
         if stop.any():
             for dst, src in zip(out, (lam, log_m, q)):
-                dst[idx[stop]] = src[stop]
-            go = ~stop
-            u_next, idx, logp, R, rho, lo, hi = (a[go] for a in (u_next, idx, logp, R, rho, lo, hi))
+                dst[..., idx[stop]] = src[..., stop]
+            u, idx, logp, R, rho, lo, hi = (a.compress(~stop, axis=-1)
+                                            for a in (u, idx, logp, R, rho, lo, hi))
             if idx.size == 0:
                 break
-        u = u_next
+        settled = np.False_  # only the first round has columns settled at the floor or cap
         lam = np.exp(u)
         log_m, q, kl, var = _moments(logp, R, lam)
-    else:
-        for dst, src in zip(out, (lam, log_m, q)):
-            dst[idx] = src
     return out
 
 
 def _dual_batch(P: np.ndarray, R: np.ndarray, rho: np.ndarray, r_max: float):
     """(values, lambda_star, tilt) of many assortments, one row of P and R each.
 
-    A row holds a set's choice probabilities or revenues, no-purchase first,
-    zero-padded; ``rho`` is inf where the varying radius is infeasible.  Blocks
-    of at most ``_BLOCK_ENTRIES`` entries keep scratch memory flat in the
-    batch size.  Radii below ``ZERO_RADIUS`` give the nominal revenue (lambda
-    inf, tilt P); negative optima are floored to 0 with lambda_star = 0.
+    A row holds a set's choice probabilities or revenues, no purchase first,
+    zero-padded; ``rho`` is inf where the varying radius is infeasible.  Radii
+    below ``ZERO_RADIUS`` give the nominal revenue (lambda inf, tilt P);
+    negative optima are floored to 0 with lambda_star = 0.  The other rows go
+    in blocks of at most ``_BLOCK_ENTRIES`` entries, sorted by support width if
+    there are several, each one set per column and trimmed to its widest set.
+    A set's sums add down its own column and every other step is elementwise,
+    so its results have the same bits alone, padded, or anywhere in any batch.
     """
     values = nominal_revenues(P, R)
     lam_star = np.full(rho.size, math.inf)
     tilt = P.copy()
-    rows = np.nonzero(rho >= ZERO_RADIUS)[0]
+    rows = np.flatnonzero(rho >= ZERO_RADIUS)
     per_block = max(1, _BLOCK_ENTRIES // (2 * P.shape[1]))  # _solve_block stacks a block twice
-    for start in range(0, rows.size, per_block):
-        blk = rows[start:start + per_block]
-        lam_star[blk], log_m, tilt[blk] = _solve_block(_log_probs(P[blk]), R[blk], rho[blk], r_max)
+    if rows.size > per_block:  # by support width (to the last positive entry), so blocks trim
+        rows = rows[np.argsort(-np.argmax(P[rows, ::-1] > 0.0, axis=1), kind="stable")]
+    for blk in (rows[start:start + per_block] for start in range(0, rows.size, per_block)):
+        w = np.flatnonzero(P[blk].any(axis=0))[-1] + 1  # the block's widest support
+        Pb, Rb = (np.ascontiguousarray(A[blk, :w].T) for A in (P, R))
+        logp = np.log(Pb, out=np.full(Pb.shape, -np.inf), where=Pb > 0.0)  # -inf for padding
+        lam_star[blk], log_m, q = _solve_block(logp, Rb, rho[blk], r_max)
+        tilt[blk, :w] = q.T
         values[blk] = -lam_star[blk] * (log_m + rho[blk])
     negative = values < 0.0
     values[negative], lam_star[negative] = 0.0, 0.0

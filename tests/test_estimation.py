@@ -158,6 +158,16 @@ def test_dataset_from_arrays():
             OfflineDataset.from_arrays([0, 1], items, [0])
 
 
+def test_dataset_from_arrays_copies_the_callers_arrays():
+    # int64 arrays need no cast, and are still copied: the caller's stay writable
+    arrays = [np.array(a, dtype=np.int64) for a in ([0, 2, 3], [1, 2, 3], [1, 0])]
+    ds = OfflineDataset.from_arrays(*arrays)
+    for a in arrays:
+        assert a.flags.writeable
+        a[:] = 0
+    assert ds.records == [((1, 2), 1), ((3,), 0)]
+
+
 def test_dataset_files_keep_record_order(tmp_path):
     ds = OfflineDataset([((2, 1), 1), ((), 0), ((3,), 0)])
     ds.to_jsonl(tmp_path / "d.jsonl")

@@ -80,12 +80,11 @@ def _minimize_on(vs, rs, t, shift, lo, hi, counter):
     on log(lam) while the bracket spans decades."""
     if lo <= 0.0:
         if t == 0.0:
-            slope_hi = _sum_slopes(vs, rs, t, shift, hi)
+            # every slope term v * r * exp(...) is >= 0 at t == 0, so the sum does not
+            # fall as lam grows and its infimum is the lam -> 0+ limit (a flat sum,
+            # where every r is 0, has that value everywhere).  Testing the slope's sign
+            # instead fails at a subnormal r, whose v * r underflows to 0
             counter.n += 1
-            if slope_hi <= 0.0:
-                counter.n += 1
-                return hi, _sum_curves(vs, rs, t, shift, hi)
-            # slope is nonnegative throughout at t == 0: minimum at the origin
             return 0.0, _limit_at_zero(vs, rs, shift)
         # the slope diverges to -inf as lam -> 0+ when t > 0: step lo down by
         # factors 2, 4, 16, ... to the least subnormal, and keep the step above
@@ -668,6 +667,11 @@ def _check_slack_contract(fam, t, k, stop_below):
 @example(case=(MnlModel(attractions=np.array([0.1]), revenues=np.array([0.0]), r_max=1.0),
                VaryingRadius(1.1989476363991853, 0.1), 1),
          level=2.3974093353255042e-195, stop_below=2.3974093353255042e-195)
+# a subnormal revenue at level 0: the curve's lam -> 0+ limit is -v, which the reference's
+# exact step read as attained nowhere while the slope v * r * exp(...) underflowed to 0
+@example(case=(MnlModel(attractions=np.array([1.0, 0.1]), revenues=np.array([0.0, 5e-324]),
+                        r_max=1.0), ConstantRadius(1.0), 1),
+         level=0.0, stop_below=None)
 def test_bulk_screen_matches_the_reference_loop(case, level, stop_below):
     model, spec, k = case
     fam = _CurveFamily(model.attractions, model.revenues, model.r_max, spec)

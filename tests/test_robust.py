@@ -22,9 +22,9 @@ from conftest import choice_probs, random_assortment, random_model, random_spec
 
 def _dual_objective(model, items, lam, rho_val):
     """The dual criterion -lam*log E_P[exp(-r/lam)] - lam*rho_val of one set at
-    lam > 0, from the dual kernel's moments."""
+    lam > 0, from the dual kernel's moments over the set's one column."""
     P, R, _ = choice_rows(model, [items])
-    log_m = robust._moments(robust._log_probs(P), R, np.array([lam]))[0]
+    log_m = robust._moments(np.log(P.T.copy()), R.T.copy(), np.array([lam]))[0]
     return -lam * float(log_m[0]) - lam * rho_val
 
 

@@ -192,6 +192,16 @@ def test_generate_dataset_rejects_before_drawing(rng):
     assert rng.bit_generator.state == state
 
 
+def test_generate_dataset_keeps_no_view_of_the_schedule(rng):
+    # a sorted int64 schedule passes validation as it is, so the dataset must copy
+    # it: the caller's array stays writable, and writing to it changes nothing
+    m = MnlModel(attractions=np.ones(3), revenues=np.ones(3))
+    schedule = np.array([[1, 2], [2, 3]], dtype=np.int64)
+    dataset = generate_dataset(m, schedule, rng)
+    schedule[:] = 3
+    assert dataset.items.tolist() == [1, 2, 2, 3] and not dataset.items.flags.writeable
+
+
 def test_perturb_prior_round_trip_and_bucket(rng):
     m = MnlModel(attractions=np.array([0.5, 1.5, 1.0]), revenues=np.ones(3))
     for bucket in ((0.0, 1.0), (1.0, math.inf)):
