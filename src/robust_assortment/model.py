@@ -1,4 +1,4 @@
-"""MNL choice models: parameters, choice rows, nominal revenue, sampling, file I/O."""
+"""MNL choice models: parameters, choice columns, nominal revenue, sampling, file I/O."""
 from __future__ import annotations
 
 import json
@@ -17,31 +17,31 @@ LAMBDA_FLOOR = 1e-12
 
 
 def column_sums(x: np.ndarray) -> np.ndarray:
-    """Sums down the columns of the C-contiguous ``x``, adding its rows in order, so zero
-    rows never move a sum; numpy sums a lone column pairwise, so that one accumulates."""
+    """Sums down the columns of ``x``, adding its rows in order, so zero rows never
+    move a sum.  numpy adds an axis-0 sum row by row only over a C-contiguous array
+    of two or more columns; it sums an F-ordered array or a lone column pairwise.
+    So ``x`` is made C-contiguous, and a lone column accumulates."""
+    x = np.ascontiguousarray(x)
     return x.sum(axis=0) if x.shape[1] > 1 else np.add.accumulate(x, axis=0)[-1]
 
 
-def set_weights(rows) -> np.ndarray:
-    """Total attraction W(S) = V0 + v(S) of each row of attractions.
+def set_weights(columns) -> np.ndarray:
+    """Total attraction W(S) = V0 + v(S) of each column of attractions, one set per column.
 
-    Each row is summed left to right from V0, so a zero adds nothing: a
-    boolean-masked row, a zero-padded row and a compact row of the same items
-    in ascending order give the same bits.  (``np.sum`` would not: its pairwise
-    blocks depend on the row width.)  Tall batches add one column at a time,
-    because numpy runs a row ``cumsum`` one short row at a time; wide ones take
-    the last column of that ``cumsum``.  Both make the same additions in the
-    same order.
+    Each column is added top to bottom from V0 (``column_sums`` under a V0 row),
+    so a zero adds nothing: a boolean-masked column, a zero-padded column and a
+    compact column of the same items in ascending order give the same bits.
+    (``np.sum`` along a column would not: its pairwise blocks depend on the length.)
     """
-    rows = np.asarray(rows, dtype=float)
+    columns = np.asarray(columns, dtype=float)
+    return _totals(np.concatenate((np.full((1, columns.shape[1]), V0), columns)))
+
+
+def _totals(table: np.ndarray) -> np.ndarray:
+    """Total attractions of the columns of ``table``, each V0 in row 0 over a set's
+    attractions, by ``column_sums``; ``NumericRangeError`` where one overflows."""
     with np.errstate(over="ignore"):
-        if rows.shape[0] > rows.shape[1]:
-            totals = np.full(rows.shape[0], V0)
-            for column in rows.T:
-                totals += column
-        else:
-            rows = np.concatenate((np.full((len(rows), 1), V0), rows), axis=1)
-            totals = np.cumsum(rows, axis=1)[:, -1]
+        totals = column_sums(table)
     if not np.isfinite(totals).all():
         raise NumericRangeError("total attraction overflowed the float range")
     return totals
@@ -107,8 +107,8 @@ class MnlModel:
 
     def assortment_weight(self, items) -> float:
         """Total attraction of ``items`` plus the no-purchase option."""
-        row = self.attractions[np.sort(np.asarray(items, dtype=np.intp)) - 1]
-        return float(set_weights([row])[0])
+        column = self.attractions[np.sort(np.asarray(items, dtype=np.intp)) - 1]
+        return float(set_weights(column[:, None])[0])
 
     def to_dict(self) -> dict:
         return {
@@ -167,33 +167,33 @@ class ChoiceDistribution:
         object.__setattr__(self, "support", tuple(int(i) for i in self.support))
 
 
-def choice_rows(model: MnlModel, sets):
-    """Conditional MNL choice rows of assortments, one per row of ``sets``.
+def choice_columns(model: MnlModel, sets):
+    """Conditional MNL choice columns of assortments, one per row of ``sets``.
 
     ``sets`` holds 1-based item ids in any order, padded with 0.  Returns
-    (P, R, weights): row i of P holds set i's choice probabilities, no
-    purchase first and then its items in ascending id order, zero-padded; R
-    holds the revenues aligned with P; and ``weights`` the sets' total
-    attractions from ``set_weights``.
+    (P, R, weights), P and R of shape (k + 1, m): column i of P holds set i's
+    choice probabilities, no purchase in row 0 and then its items in ascending
+    id order, zero-padded below; R holds the revenues aligned with P; and
+    ``weights`` the sets' total attractions from ``set_weights``.
     """
-    support, P, weights = _support_rows(model, sets)
+    support, P, weights = _support_columns(model, sets)
     R = np.concatenate(([0.0], model.revenues, [0.0]))[support]
     return P, R, weights
 
 
-def _support_rows(model: MnlModel, sets):
-    """(support, P, weights) of ``choice_rows``: row i of ``support`` holds set
-    i's S_+ ids, 0 first, then its items ascending, then n + 1 for padding."""
+def _support_columns(model: MnlModel, sets):
+    """(support, P, weights) of ``choice_columns``: column i of ``support`` holds
+    set i's S_+ ids, 0 first, then its items ascending, then n + 1 for padding."""
     ids = np.asarray(sets, dtype=np.intp)
     m, k = ids.shape
-    support = np.zeros((m, k + 1), dtype=np.intp)  # 0: no purchase
-    if ids.size and ids.min() > 0 and _ascending(ids.ravel(), k * np.arange(m + 1)):
-        support[:, 1:] = ids
-    else:  # padding sorts last as id n + 1, whose entries are 0
-        support[:, 1:] = np.sort(np.where(ids > 0, ids, model.n_items + 1), axis=1)
+    if not (ids.size and ids.min() > 0 and _ascending(ids.ravel(), k * np.arange(m + 1))):
+        # padding sorts last as id n + 1, whose entries are 0
+        ids = np.sort(np.where(ids > 0, ids, model.n_items + 1), axis=1)
+    support = np.zeros((k + 1, m), dtype=np.intp)  # row 0: no purchase
+    support[1:] = ids.T
     P = np.concatenate(([V0], model.attractions, [0.0]))[support]
-    weights = set_weights(P[:, 1:])
-    P /= weights[:, None]
+    weights = _totals(P)  # row 0 is V0: set_weights(P[1:]) without copying P
+    P /= weights
     return support, P, weights
 
 
@@ -207,13 +207,13 @@ def _ascending(flat: np.ndarray, offsets: np.ndarray) -> bool:
 
 
 def nominal_revenues(P: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Expected revenue of each choice row: the dual kernel's zero-radius value."""
-    return column_sums(np.ascontiguousarray((P * R).T))
+    """Expected revenue of each choice column: the dual kernel's zero-radius value."""
+    return column_sums(P * R)
 
 
 def nominal_expected_revenue(model: MnlModel, items) -> float:
     """Expected revenue of ``items`` under the model's own choice probabilities."""
-    P, R, _ = choice_rows(model, [as_assortment(items, model.n_items)])
+    P, R, _ = choice_columns(model, [as_assortment(items, model.n_items)])
     return float(nominal_revenues(P, R)[0])
 
 
@@ -221,14 +221,14 @@ def _draw_choices(model: MnlModel, rows: np.ndarray, uniforms: np.ndarray) -> np
     """Inverse-CDF draws from the MNL conditionals over the canonical assortments in
     the rows of the (m, k) int array ``rows``: row i turns ``uniforms[i]`` into a choice.
 
-    The CDF adds ``choice_rows``' probabilities one column at a time, left to
-    right, so a batch rounds as each row alone and draws do not depend on it.
+    The CDF adds ``choice_columns``' probabilities one row at a time, top to
+    bottom, so a batch rounds as each set alone and draws do not depend on it.
     """
     m, k = rows.shape
     cdf = np.zeros(m)
-    drawn = np.zeros(m, dtype=np.intp)  # searchsorted(cdf, u, side="right") per row
-    for column in _support_rows(model, rows)[1].T:
-        cdf += column
+    drawn = np.zeros(m, dtype=np.intp)  # searchsorted(cdf, u, side="right") per set
+    for probs in _support_columns(model, rows)[1]:
+        cdf += probs
         drawn += cdf <= uniforms
     # the rounded CDF can end below 1, so a draw may land past its last entry
     drawn = np.minimum(drawn, k)

@@ -330,7 +330,7 @@ def _search(fam: _CurveFamily, t: float, items: np.ndarray, k: int, lo: float, h
         value, caps = pts[:, _NO_BUY] + pts[:, _LOW], np.full(lam.size, math.inf)
         above = lam > floor
         if above.any():
-            caps[above] = fam.caps(set_weights(np.where(selected[above], v, 0.0)))
+            caps[above] = fam.caps(set_weights(np.where(selected[above].T, v[:, None], 0.0)))
         value[lam > caps] = math.inf
         i = int(np.argmin(value))
         best.offer(float(value[i]), items[selected[i]])
@@ -383,8 +383,9 @@ def _min_level_slack(fam: _CurveFamily, t: float, k: int, counter: _EvalCounter,
     lowest negative curves and, under the varying rule, the k heaviest ones.
     """
     idx = fam.active_items(t)
-    # the weights of all active items and of the empty set, as masked rows
-    cap_full, cap_empty = fam.caps(set_weights([fam.v[idx], np.zeros(idx.size)])).tolist()
+    # the weights of all active items and of the empty set, as masked columns
+    cap_full, cap_empty = fam.caps(set_weights(
+        np.stack((fam.v[idx], np.zeros(idx.size)), axis=1))).tolist()
     if not cap_empty > 0.0:
         return math.inf, (), False
     counter.n += 1
@@ -405,7 +406,7 @@ def _min_level_slack(fam: _CurveFamily, t: float, k: int, counter: _EvalCounter,
             # ties broken by position, beyond ``end``: up to it every set is bounded
             by_weight = idx[np.lexsort((idx, -fam.v[idx]))]
             heavy = np.sort(by_weight[fam.r[by_weight] > t][:k])
-            cap = float(fam.caps(set_weights([fam.v[heavy]]))[0])
+            cap = float(fam.caps(set_weights(fam.v[heavy][:, None]))[0])
             if heavy.size and cap > end:
                 _search(fam, t, heavy, k, end, cap, cap, best, counter)
     return best.value, best.items, best.achieved
@@ -447,7 +448,7 @@ def plan_general(model: MnlModel, k: int, spec: RadiusSpec, eps: float) -> PlanR
             return float(scores[take].sum()) >= t, False, tuple(sorted(int(i) + 1 for i in take))
     else:
         fam = _CurveFamily(model.attractions, model.revenues, model.r_max, spec)
-        eps_inner = eps / (4.0 * float(fam.caps(set_weights(np.empty((1, 0))))[0]))
+        eps_inner = eps / (4.0 * float(fam.caps(set_weights(np.empty((0, 1))))[0]))
 
         def probe(t: float):
             slack, items, achieved = _min_level_slack(fam, t, k, counter, stop_below=fam.target,

@@ -8,7 +8,7 @@ from typing import Union
 import numpy as np
 
 from .base import RadiusInfeasibleError
-from .model import MnlModel, as_assortment, set_weights
+from .model import MnlModel, as_assortment
 
 #: Radii below this are treated as exactly zero (nominal revenue, no dual cap).
 ZERO_RADIUS = 1e-12
@@ -19,7 +19,7 @@ class _RadiusRule:
 
     def radius(self, model: MnlModel, items) -> float:
         items = as_assortment(items, model.n_items)
-        weight_s = float(set_weights([model.attractions[np.asarray(items, dtype=np.intp) - 1]])[0])
+        weight_s = model.assortment_weight(items)
         rho = float(self.radii_from_weights(weight_s))
         if rho == math.inf:
             raise RadiusInfeasibleError(

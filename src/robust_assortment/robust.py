@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (LAMBDA_FLOOR, ChoiceDistribution, MnlModel, as_assortment, choice_rows,
+from .model import (LAMBDA_FLOOR, ChoiceDistribution, MnlModel, as_assortment, choice_columns,
                     column_sums, nominal_revenues)
 from .radius import ZERO_RADIUS, RadiusSpec
 
@@ -106,30 +106,28 @@ def _solve_block(logp: np.ndarray, R: np.ndarray, rho: np.ndarray, r_max: float)
 
 
 def _dual_batch(P: np.ndarray, R: np.ndarray, rho: np.ndarray, r_max: float):
-    """(values, lambda_star, tilt) of many assortments, one row of P and R each.
+    """(values, lambda_star, tilt) of many assortments, one column of P and R each.
 
-    A row holds a set's choice probabilities or revenues, no purchase first,
-    zero-padded; ``rho`` is inf where the varying radius is infeasible.  Radii
-    below ``ZERO_RADIUS`` give the nominal revenue (lambda inf, tilt P);
-    negative optima are floored to 0 with lambda_star = 0.  The other rows go
-    in blocks of at most ``_BLOCK_ENTRIES`` entries, sorted by support width if
-    there are several, each one set per column and trimmed to its widest set.
-    A set's sums add down its own column and every other step is elementwise,
-    so its results have the same bits alone, padded, or anywhere in any batch.
+    A column holds a set's choice probabilities or revenues, no purchase first,
+    zero-padded below; ``rho`` is inf where the varying radius is infeasible.
+    Radii below ``ZERO_RADIUS`` give the nominal revenue (lambda inf, tilt P);
+    negative optima are floored to 0 with lambda_star = 0.  The other columns go
+    in blocks of at most ``_BLOCK_ENTRIES`` entries, in the order given, each
+    trimmed to its widest set.  A set's sums add down its own column and every
+    other step is elementwise, so its results have the same bits alone, padded,
+    or anywhere in any batch.
     """
     values = nominal_revenues(P, R)
     lam_star = np.full(rho.size, math.inf)
     tilt = P.copy()
-    rows = np.flatnonzero(rho >= ZERO_RADIUS)
-    per_block = max(1, _BLOCK_ENTRIES // (2 * P.shape[1]))  # _solve_block stacks a block twice
-    if rows.size > per_block:  # by support width (to the last positive entry), so blocks trim
-        rows = rows[np.argsort(-np.argmax(P[rows, ::-1] > 0.0, axis=1), kind="stable")]
-    for blk in (rows[start:start + per_block] for start in range(0, rows.size, per_block)):
-        w = np.flatnonzero(P[blk].any(axis=0))[-1] + 1  # the block's widest support
-        Pb, Rb = (np.ascontiguousarray(A[blk, :w].T) for A in (P, R))
+    sets = np.flatnonzero(rho >= ZERO_RADIUS)
+    per_block = max(1, _BLOCK_ENTRIES // (2 * P.shape[0]))  # _solve_block stacks a block twice
+    for blk in (sets[start:start + per_block] for start in range(0, sets.size, per_block)):
+        w = np.flatnonzero(P.take(blk, axis=1).any(axis=1))[-1] + 1  # the block's widest set
+        Pb, Rb = (A[:w].take(blk, axis=1) for A in (P, R))
         logp = np.log(Pb, out=np.full(Pb.shape, -np.inf), where=Pb > 0.0)  # -inf for padding
         lam_star[blk], log_m, q = _solve_block(logp, Rb, rho[blk], r_max)
-        tilt[blk, :w] = q.T
+        tilt[:w, blk] = q
         values[blk] = -lam_star[blk] * (log_m + rho[blk])
     negative = values < 0.0
     values[negative], lam_star[negative] = 0.0, 0.0
@@ -138,9 +136,9 @@ def _dual_batch(P: np.ndarray, R: np.ndarray, rho: np.ndarray, r_max: float):
 
 def robust_values(model: MnlModel, sets, spec: RadiusSpec) -> np.ndarray:
     """Robust revenues of assortments, given as rows of 1-based item ids padded
-    with 0 (see ``choice_rows``), in one kernel call; infeasible varying radii
+    with 0 (see ``choice_columns``), in one kernel call; infeasible varying radii
     and all-zero rows (the empty set) score 0."""
-    P, R, weights = choice_rows(model, sets)
+    P, R, weights = choice_columns(model, sets)
     return _dual_batch(P, R, spec.radii_from_weights(weights), model.r_max)[0]
 
 
@@ -208,8 +206,8 @@ def primal_robust_revenue_oracle(model: MnlModel, items, rho_val: float) -> floa
     """
     if rho_val < 0.0:
         raise ValueError("rho_val must be nonnegative")
-    P, R, _ = choice_rows(model, [as_assortment(items, model.n_items)])
-    return _tilt_to_kl(P[0].tolist(), R[0].tolist(), rho_val)[1]
+    P, R, _ = choice_columns(model, [as_assortment(items, model.n_items)])
+    return _tilt_to_kl(P[:, 0].tolist(), R[:, 0].tolist(), rho_val)[1]
 
 
 def robust_revenue(model: MnlModel, items, spec: RadiusSpec,
@@ -228,14 +226,14 @@ def robust_revenue(model: MnlModel, items, spec: RadiusSpec,
     value 0 and the zero-revenue certificate; without it, it raises.
     """
     items = as_assortment(items, model.n_items)
-    P, R, weights = choice_rows(model, [items])
+    P, R, weights = choice_columns(model, [items])
     rho_val = float(spec.radii_from_weights(weights)[0])
     if rho_val == math.inf and not allow_degenerate:
         spec.radius(model, items)  # raises the RadiusInfeasibleError that names the set
     values, lam, tilt = _dual_batch(P, R, np.array([rho_val]), model.r_max)
-    value, lam_star, q = float(values[0]), float(lam[0]), tilt[0]
+    value, lam_star, q = float(values[0]), float(lam[0]), tilt[:, 0]
     if lam_star == 0.0:
-        zero = np.where(R[0] == 0.0, P[0], 0.0)
+        zero = np.where(R[:, 0] == 0.0, P[:, 0], 0.0)
         if rho_val >= -math.log(zero.sum()) - 1e-15:  # the slack forgives the log's last bits
             q = zero / zero.sum()
     worst = ChoiceDistribution(support=(0, *items), probs=q)

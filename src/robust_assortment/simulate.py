@@ -147,7 +147,7 @@ def perturb_prior(model: MnlModel, kl_bucket: tuple[float, float],
         d, reach = far, top
     target = rng.uniform(lo, min(hi, reach))
     # the kernel's worst-case tilt of revenues max d - d; p0 itself below ZERO_RADIUS
-    q = _dual_batch(p0[None, :], (d.max() - d)[None, :], np.array([target]), np.ptp(d))[2][0]
+    q = _dual_batch(p0[:, None], (d.max() - d)[:, None], np.array([target]), np.ptp(d))[2][:, 0]
     perturbed = model_from_prior(q, model.revenues, model.r_max)
     return perturbed, kl_divergence(prior_of(perturbed), p0)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from robust_assortment import ConstantRadius, MnlModel, VaryingRadius, as_assortment
-from robust_assortment.model import choice_rows
+from robust_assortment.model import choice_columns
 
 
 def random_model(rng, n_min=2, n_max=10, r_max=None, uniform_revenue=False):
@@ -39,7 +39,7 @@ def random_assortment(rng, n, allow_empty=True):
 
 def choice_probs(model, items):
     """The conditional MNL choice probabilities of ``items``, no purchase first."""
-    return choice_rows(model, [as_assortment(items, model.n_items)])[0][0]
+    return choice_columns(model, [as_assortment(items, model.n_items)])[0][:, 0]
 
 
 @pytest.fixture

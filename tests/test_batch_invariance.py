@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from robust_assortment import ConstantRadius, MnlModel, VaryingRadius, planning, robust_revenue
 from robust_assortment import robust
-from robust_assortment.model import choice_rows, column_sums
+from robust_assortment.model import choice_columns, column_sums
 from robust_assortment.radius import ZERO_RADIUS
 from robust_assortment.robust import _dual_batch, robust_values
 
@@ -47,19 +47,19 @@ def test_padded_mixed_multi_block_rows_equal_each_set_alone(case):
     padded = np.zeros((len(sets), max(map(len, sets)) + extra), dtype=np.intp)
     for row, items in enumerate(sets):
         padded[row, :len(items)] = items
-    P, R, weights = choice_rows(model, padded)
+    P, R, weights = choice_columns(model, padded)
     rho = spec.radii_from_weights(weights)
     with pytest.MonkeyPatch.context() as mp:
-        # a few rows per block at the full width, so the batch spans several blocks
-        mp.setattr(robust, "_BLOCK_ENTRIES", 2 * per_block * P.shape[1])
+        # a few sets per block at the full width, so the batch spans several blocks
+        mp.setattr(robust, "_BLOCK_ENTRIES", 2 * per_block * P.shape[0])
         values, lam, tilt = _dual_batch(P, R, rho, model.r_max)
     for row, items in enumerate(sets):
         assert values[row] == robust_values(model, [items], spec)[0]
-        own_P, own_R, own_weight = choice_rows(model, [items])
+        own_P, own_R, own_weight = choice_columns(model, [items])
         own = _dual_batch(own_P, own_R, spec.radii_from_weights(own_weight), model.r_max)
         assert lam[row] == own[1][0]
-        assert np.array_equal(tilt[row, :len(items) + 1], own[2][0])
-        assert not tilt[row, len(items) + 1:].any()
+        assert np.array_equal(tilt[:len(items) + 1, row], own[2][:, 0])
+        assert not tilt[len(items) + 1:, row].any()
 
 
 def test_bruteforce_scores_every_set_as_robust_revenue_does():
@@ -88,7 +88,7 @@ def test_bruteforce_scores_every_set_as_robust_revenue_does():
             assert result.value == robust_revenue(model, result.assortment, spec).value
 
 
-# the widest block _dual_batch builds: width-2 rows, stacked twice by _solve_block
+# the widest block _dual_batch builds: columns of two choices, stacked twice by _solve_block
 @pytest.mark.parametrize("columns", [1, 2, 3, 40, 300, robust._BLOCK_ENTRIES // 2])
 def test_column_sums_add_each_column_in_row_order(columns):
     rng = np.random.default_rng(columns)
@@ -100,3 +100,9 @@ def test_column_sums_add_each_column_in_row_order(columns):
         assert np.array_equal(column_sums(x), in_order)
         padded = np.concatenate((x, np.zeros((rows % 7, columns))))
         assert np.array_equal(column_sums(padded), in_order)
+        # numpy sums an F-ordered array down its columns pairwise
+        assert np.array_equal(column_sums(np.asfortranarray(x)), in_order)
+        strided = np.zeros((2 * rows, 3 * columns))
+        strided[::2, ::3] = x
+        assert np.array_equal(column_sums(strided[::2, ::3]), in_order)
+        assert np.array_equal(column_sums(strided.T[::3, ::2].T), in_order)

@@ -22,7 +22,7 @@ from robust_assortment import (
     robust_revenue,
 )
 from robust_assortment import robust
-from robust_assortment.model import choice_rows, set_weights
+from robust_assortment.model import choice_columns, set_weights
 from robust_assortment.planning import _CurveFamily
 from robust_assortment.radius import ZERO_RADIUS
 from robust_assortment.robust import _dual_batch, robust_values
@@ -45,21 +45,21 @@ def instances(draw, max_items=8):
     return model, items, rho
 
 
-def _rows(cases):
-    """Zero-padded P, R and radii for a list of (model, items, rho) cases."""
+def _columns(cases):
+    """Zero-padded P, R (one column per case) and radii for a list of (model, items, rho) cases."""
     width = 1 + max(len(items) for _, items, _ in cases)
-    P = np.zeros((len(cases), width))
-    R = np.zeros((len(cases), width))
-    for row, (model, items, _) in enumerate(cases):
-        P[row, : len(items) + 1] = choice_probs(model, items)
-        R[row, 1: len(items) + 1] = model.revenues[np.array(items) - 1]
+    P = np.zeros((width, len(cases)))
+    R = np.zeros((width, len(cases)))
+    for col, (model, items, _) in enumerate(cases):
+        P[: len(items) + 1, col] = choice_probs(model, items)
+        R[1: len(items) + 1, col] = model.revenues[np.array(items) - 1]
     return P, R, np.array([rho for _, _, rho in cases])
 
 
 @given(st.lists(instances(), min_size=1, max_size=6))
 @settings(max_examples=150, deadline=None)
 def test_batch_values_match_primal_oracle(cases):
-    P, R, rho = _rows(cases)
+    P, R, rho = _columns(cases)
     values, _, _ = _dual_batch(P, R, rho, 1.0)
     for value, (model, items, rad) in zip(values, cases):
         assert abs(value - primal_robust_revenue_oracle(model, items, rad)) <= 1e-9
@@ -68,16 +68,16 @@ def test_batch_values_match_primal_oracle(cases):
 @given(st.lists(instances(), min_size=8, max_size=20))
 @settings(max_examples=40, deadline=None)
 def test_multi_block_batch_equals_batches_of_one(cases):
-    P, R, rho = _rows(cases)
+    P, R, rho = _columns(cases)
     with pytest.MonkeyPatch.context() as mp:
-        # a few rows per block, so the batch spans several blocks
-        mp.setattr(robust, "_BLOCK_ENTRIES", 6 * P.shape[1])
+        # a few columns per block, so the batch spans several blocks
+        mp.setattr(robust, "_BLOCK_ENTRIES", 6 * P.shape[0])
         values, lam, tilt = _dual_batch(P, R, rho, 1.0)
-        for row in range(rho.size):
-            one = _dual_batch(P[row:row + 1], R[row:row + 1], rho[row:row + 1], 1.0)
-            assert one[0][0] == values[row]
-            assert one[1][0] == lam[row]
-            assert np.array_equal(one[2][0], tilt[row])
+        for col in range(rho.size):
+            one = _dual_batch(P[:, col:col + 1], R[:, col:col + 1], rho[col:col + 1], 1.0)
+            assert one[0][0] == values[col]
+            assert one[1][0] == lam[col]
+            assert np.array_equal(one[2][:, 0], tilt[:, col])
 
 
 def test_batch_beyond_the_default_block_equals_batches_of_one():
@@ -88,13 +88,13 @@ def test_batch_beyond_the_default_block_equals_batches_of_one():
     sets = np.array([np.sort(rng.choice(n, 6, replace=False)) + 1 for _ in range(1500)])
     cases = [(model, tuple(row.tolist()), float(10.0 ** rng.uniform(-11.0, 1.4)))
              for row in sets]
-    P, R, rho = _rows(cases)
-    assert rho.size > robust._BLOCK_ENTRIES // (2 * P.shape[1])
+    P, R, rho = _columns(cases)
+    assert rho.size > robust._BLOCK_ENTRIES // (2 * P.shape[0])
     values, lam, tilt = _dual_batch(P, R, rho, 1.0)
-    for row in range(0, rho.size, 7):
-        one = _dual_batch(P[row:row + 1], R[row:row + 1], rho[row:row + 1], 1.0)
-        assert (one[0][0], one[1][0]) == (values[row], lam[row])
-        assert np.array_equal(one[2][0], tilt[row])
+    for col in range(0, rho.size, 7):
+        one = _dual_batch(P[:, col:col + 1], R[:, col:col + 1], rho[col:col + 1], 1.0)
+        assert (one[0][0], one[1][0]) == (values[col], lam[col])
+        assert np.array_equal(one[2][:, 0], tilt[:, col])
 
 
 # the value is floored at 0 (lambda_star 0) in both.  The one item that earns is
@@ -117,10 +117,10 @@ def test_certificate_stays_inside_the_ball(case, varying):
         bound = math.log1p(1.0 / model.v_tot)
         spec = VaryingRadius(min(rho, 0.5 * bound), model.v_tot)
     ev = robust_revenue(model, items, spec, allow_degenerate=True)
-    P, R, _ = choice_rows(model, [items])
+    P, R, _ = choice_columns(model, [items])
     q = ev.worst_case.probs
-    assert kl_divergence(q, P[0]) <= ev.radius + 1e-8
-    assert math.fsum(q * R[0]) <= ev.value + 1e-9
+    assert kl_divergence(q, P[:, 0]) <= ev.radius + 1e-8
+    assert math.fsum(q * R[:, 0]) <= ev.value + 1e-9
     if ev.lambda_star == 0.0:
         assert ev.value == 0.0
 
@@ -236,7 +236,7 @@ def test_one_set_scores_the_same_bits_on_every_path(case):
         assert value == nominal_expected_revenue(model, items)
     if not spec.is_zero:
         offered = np.isin(np.arange(1, model.n_items + 1), items)
-        weight = set_weights([np.where(offered, model.attractions, 0.0)])
+        weight = set_weights(np.where(offered, model.attractions, 0.0)[:, None])
         cap = _CurveFamily(model.attractions, model.revenues, model.r_max, spec).caps(weight)[0]
         assert cap == (0.0 if rho == math.inf else model.r_max / rho)
 
@@ -250,5 +250,5 @@ def test_overflowing_set_weight_is_a_typed_error():
             robust_values(model, [(1, 2)], spec)
         assert robust_values(model, [(1, 0)], spec)[0] >= 0.0  # one item alone fits
     with pytest.raises(NumericRangeError):
-        choice_rows(model, [(1, 2)])
+        choice_columns(model, [(1, 2)])
 

@@ -21,16 +21,16 @@ from robust_assortment import (
     robust_revenue,
     save_model,
 )
-from robust_assortment.model import LAMBDA_FLOOR, choice_rows, nominal_revenues
+from robust_assortment.model import LAMBDA_FLOOR, choice_columns, nominal_revenues
 
 from conftest import choice_probs
 
 
 def test_choice_probabilities_equal_attractions():
     m = MnlModel(attractions=np.array([1.0, 1.0]), revenues=np.array([1.0, 0.5]))
-    P, R, weights = choice_rows(m, [(2, 1)])
-    np.testing.assert_allclose(P[0], [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
-    assert R[0].tolist() == [0.0, 1.0, 0.5]  # no purchase first, then ascending ids
+    P, R, weights = choice_columns(m, [(2, 1)])
+    np.testing.assert_allclose(P[:, 0], [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
+    assert R[:, 0].tolist() == [0.0, 1.0, 0.5]  # no purchase first, then ascending ids
     assert weights.tolist() == [3.0]
 
 
@@ -49,14 +49,14 @@ def test_choice_probabilities_boosted_instance():
 
 def test_expected_revenue_point_mass_on_no_purchase():
     m = MnlModel(attractions=np.array([1.0, 2.0]), revenues=np.array([1.0, 1.0]))
-    R = choice_rows(m, [(1, 2)])[1]
-    assert nominal_revenues(np.array([[1.0, 0.0, 0.0]]), R)[0] == 0.0
+    R = choice_columns(m, [(1, 2)])[1]
+    assert nominal_revenues(np.array([[1.0], [0.0], [0.0]]), R)[0] == 0.0
 
 
 def test_expected_revenue_uniform():
     m = MnlModel(attractions=np.array([1.0, 2.0]), revenues=np.array([1.0, 1.0]))
-    R = choice_rows(m, [(1, 2)])[1]
-    assert nominal_revenues(np.full((1, 3), 1 / 3), R)[0] == pytest.approx(2 / 3, abs=1e-15)
+    R = choice_columns(m, [(1, 2)])[1]
+    assert nominal_revenues(np.full((3, 1), 1 / 3), R)[0] == pytest.approx(2 / 3, abs=1e-15)
 
 
 def test_expected_revenue_mnl_conditional():
@@ -170,7 +170,7 @@ def test_model_payload_without_field_names_it():
 def test_overflow_guard():
     m = MnlModel(attractions=np.array([1e308, 1e308]), revenues=np.array([1.0, 1.0]))
     with pytest.raises(NumericRangeError):
-        choice_rows(m, [(1, 2)])
+        choice_columns(m, [(1, 2)])
 
 
 def test_subnormal_revenue_scale_is_a_typed_error():

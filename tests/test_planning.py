@@ -537,7 +537,7 @@ def _reference_min_level_slack(fam, t, k, counter, stop_below=None):
     bounds by fsum and runs the exact step in turn.  ``_check_slack_contract``
     holds the branch and bound to it."""
     idx = fam.active_items(t)
-    weight_full = set_weights([fam.v[idx]])[0]
+    weight_full = set_weights(fam.v[idx][:, None])[0]
     cap_full = _cap(fam, weight_full)
     cap_empty = _cap(fam, 1.0)
     if cap_empty == 0.0:
@@ -576,7 +576,7 @@ def _reference_min_level_slack(fam, t, k, counter, stop_below=None):
             if sorted(heavy) != sorted(chosen):
                 candidates.append(heavy)
         for cand in candidates:
-            weight_s = set_weights([fam.v[idx[sorted(cand)]]])[0]
+            weight_s = set_weights(fam.v[idx[sorted(cand)]][:, None])[0]
             cap_s = _cap(fam, weight_s)
             if cap_s == 0.0 or cap_s < prev:
                 continue
@@ -640,7 +640,7 @@ def _check_slack_contract(fam, t, k, stop_below):
     assert len(items) <= k and all(fam.r[i - 1] >= t for i in items)
     positions = [i - 1 for i in items]
     vs, rs = fam.v[positions].tolist(), fam.r[positions].tolist()
-    cap_s = _cap(fam, set_weights([vs])[0])
+    cap_s = _cap(fam, set_weights(np.reshape(vs, (-1, 1)))[0])
     assert cap_s > 0.0
     _, attained = _minimize_on(vs, rs, t, fam.shift, 0.0, cap_s, _EvalCounter())
     assert attained <= value + 1e-12 * max(1.0, abs(value))
@@ -680,6 +680,43 @@ def test_bulk_screen_matches_the_reference_loop(case, level, stop_below):
     _check_slack_contract(fam, level, k, stop_below)
 
 
+def _exhaustive_min_level_slack(fam, t, k):
+    """The least curve sum over every set of at most k active items with negative
+    curves, each minimized by the exact step over (0, its cap]; sets with an
+    infeasible radius are skipped.  (An item at r = t has a zero curve: it would
+    only raise a set's cap, and no selection takes it.)"""
+    idx = fam.active_items(t)
+    idx = idx[fam.r[idx] > t]
+    best = math.inf
+    for size in range(min(k, idx.size) + 1):
+        for cand in itertools.combinations(idx.tolist(), size):
+            vs, rs = fam.v[list(cand)].tolist(), fam.r[list(cand)].tolist()
+            cap = _cap(fam, set_weights(np.reshape(vs, (-1, 1)))[0])
+            if cap > 0.0:
+                best = min(best, _minimize_on(vs, rs, t, fam.shift, 0.0, cap, _EvalCounter())[1])
+    return best
+
+
+@settings(max_examples=100, deadline=None)
+@given(planning_instances(max_items=6),
+       st.one_of(st.sampled_from(TIED_REVENUES), st.floats(0.0, 1.0)))
+# the optimum {2, 3} is neither set of the k lowest curves at any lam within its cap:
+# only the search over the k heaviest items beyond the main search's end finds it
+@example(case=(MnlModel(attractions=np.array([0.01124757817886618, 0.014622216468946311,
+                                              0.12019977624491095]),
+                        revenues=np.array([1.0, 0.5787094537042473, 0.6600649889809077]),
+                        r_max=1.0),
+               VaryingRadius(1.5610784764065158, 0.14606957089272343), 2),
+         level=0.48135448453676133)
+def test_varying_level_slack_matches_the_exhaustive_minimum(case, level):
+    model, spec, k = case
+    assume(spec.is_varying)
+    fam = _CurveFamily(model.attractions, model.revenues, model.r_max, spec)
+    value, _ = evaluate_level_slack(model, k, spec, level)
+    least = _exhaustive_min_level_slack(fam, level, k)
+    assert abs(value - least) <= 1e-12 * max(1.0, abs(least))
+
+
 def test_exact_step_is_accurate_across_many_decades():
     # the set's curve sum nears its infimum (about -110) only for lam near 1e-40
     vs, rs, t = [100.0, 10.0], [1.17549435e-38, 0.25], 1.401298464324817e-45
@@ -700,7 +737,7 @@ def _selection_weights(fam, t, k, lams):
     """Total attraction of the k lowest negative curves at each of ``lams``."""
     idx = fam.active_items(t)
     _, selected = _points(fam, t, idx, k, lams)
-    return set_weights(np.where(selected, fam.v[idx], 0.0))
+    return set_weights(np.where(selected, fam.v[idx], 0.0).T)
 
 
 @settings(max_examples=200, deadline=None)
@@ -766,7 +803,7 @@ def test_screen_cap_checks_at_float_neighbours_of_the_cap(monkeypatch):
                              model.v_tot)
         fam = _CurveFamily(model.attractions, model.revenues, model.r_max, spec)
         # at a level below every revenue with k = n, every item is selected at every lam
-        cap = _cap(fam, set_weights([fam.v])[0])
+        cap = _cap(fam, set_weights(fam.v[:, None])[0])
         for start in cap * (1.0 + steps):
             evaluated.clear()
             best = _Best(math.inf, math.inf, None)  # stop after the first points

@@ -14,7 +14,7 @@ from robust_assortment import (
     robust_revenue,
 )
 from robust_assortment import robust
-from robust_assortment.model import choice_rows
+from robust_assortment.model import choice_columns
 from robust_assortment.radius import ZERO_RADIUS
 
 from conftest import choice_probs, random_assortment, random_model, random_spec
@@ -23,8 +23,8 @@ from conftest import choice_probs, random_assortment, random_model, random_spec
 def _dual_objective(model, items, lam, rho_val):
     """The dual criterion -lam*log E_P[exp(-r/lam)] - lam*rho_val of one set at
     lam > 0, from the dual kernel's moments over the set's one column."""
-    P, R, _ = choice_rows(model, [items])
-    log_m = robust._moments(np.log(P.T.copy()), R.T.copy(), np.array([lam]))[0]
+    P, R, _ = choice_columns(model, [items])
+    log_m = robust._moments(np.log(P), R, np.array([lam]))[0]
     return -lam * float(log_m[0]) - lam * rho_val
 
 
@@ -127,9 +127,9 @@ def test_certificate_validity(rng):
         items = random_assortment(rng, m.n_items, allow_empty=False)
         spec = random_spec(rng, m)
         ev = robust_revenue(m, items, spec)
-        P, R, _ = choice_rows(m, [items])
-        assert kl_divergence(ev.worst_case.probs, P[0]) <= ev.radius + 1e-8
-        assert math.fsum(ev.worst_case.probs * R[0]) <= ev.value + 1e-6
+        P, R, _ = choice_columns(m, [items])
+        assert kl_divergence(ev.worst_case.probs, P[:, 0]) <= ev.radius + 1e-8
+        assert math.fsum(ev.worst_case.probs * R[:, 0]) <= ev.value + 1e-6
         assert ev.value <= nominal_expected_revenue(m, items) + 1e-12
         assert 0.0 <= ev.lambda_star <= m.r_max / ev.radius + 1e-9 or math.isinf(ev.lambda_star)
 

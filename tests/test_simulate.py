@@ -21,7 +21,7 @@ from robust_assortment import (
     rank_breaking,
     shift_metrics,
 )
-from robust_assortment.model import choice_rows
+from robust_assortment.model import choice_columns
 from robust_assortment.simulate import _reach, model_from_prior, prior_of
 
 from conftest import choice_probs
@@ -115,7 +115,7 @@ def test_generate_dataset_seed_determinism():
 def _per_group_dataset(model, schedule, rng):
     """Reference sampler: one rng.random call per distinct sorted assortment, in order
     of first appearance, each drawing by searchsorted on that set's own CDF, the
-    cumsum of its ``choice_rows`` probabilities."""
+    cumsum of its ``choice_columns`` probabilities."""
     plan = [tuple(sorted(int(i) for i in s)) for s in schedule]
     groups = {}
     for pos, items in enumerate(plan):
@@ -123,7 +123,7 @@ def _per_group_dataset(model, schedule, rng):
     choices = [0] * len(plan)
     for items, positions in groups.items():
         support = np.array((0, *items))
-        cdf = np.cumsum(choice_rows(model, [items])[0][0])
+        cdf = np.cumsum(choice_columns(model, [items])[0][:, 0])
         drawn = np.searchsorted(cdf, rng.random(len(positions)), side="right")
         for pos, d in zip(positions, np.minimum(drawn, len(items)).tolist()):
             choices[pos] = int(support[d])
@@ -161,14 +161,14 @@ def test_generate_dataset_matches_per_record_sampler(data):
 def test_generate_dataset_draws_at_cdf_knots():
     # a uniform at a knot of its set's CDF, or one ulp below it, draws a different
     # choice if the sampler's CDF differs from the set's own by one ulp either way;
-    # a set's own CDF sums its choice_rows probabilities, whose total attraction
-    # is summed left to right (a pairwise sum differs on some of these 60 sets)
+    # a set's own CDF sums its choice_columns probabilities, whose total attraction
+    # is summed in ascending item order (a pairwise sum differs on some of these 60 sets)
     rng = np.random.default_rng(11)
     model = MnlModel(attractions=10.0 ** rng.uniform(-4, 4, 60), revenues=np.ones(60))
     schedule = [tuple(rng.choice(60, size=k, replace=False) + 1) for k in range(1, 61)]
     knots = []
     for s in schedule:
-        knot = np.cumsum(choice_rows(model, [np.sort(s)])[0][0])[rng.integers(len(s) + 1)]
+        knot = np.cumsum(choice_columns(model, [np.sort(s)])[0][:, 0])[rng.integers(len(s) + 1)]
         knots.append(np.nextafter(knot, 0.0) if rng.integers(2) else knot)
 
     class Knots:  # distinct sets: one draw per set, in record order

@@ -6,7 +6,8 @@ Runs, one after another in child processes of the checkout at ``--root``
 (default: the one holding this script):
 
 - ``bench/run.py --workload all --seed 3001 --seconds 25``, keeping its last JSON line;
-- ``exp --name exp1|exp2|exp3 --seed 1`` at their shipped defaults, timing each;
+- ``exp --name exp1|exp2|exp3 --seed 1`` at their shipped defaults, three rounds of
+  the three in turn, keeping every wall time and each experiment's median;
 - the tier-1 test suite, keeping its pass count and wall time.
 
 The record also holds the checkout's commit (and whether tracked files differ
@@ -21,6 +22,7 @@ import importlib.util
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -28,6 +30,8 @@ import time
 from pathlib import Path
 
 EXPERIMENTS = ("exp1", "exp2", "exp3")
+#: Timed runs of each experiment: one run cannot tell a change from this host's noise.
+EXP_RUNS = 3
 #: ``bench/run.py``'s seed and seconds in every record.
 SEED, SECONDS = 3001, 25.0
 
@@ -58,12 +62,14 @@ def record(root: Path) -> dict:
 
     proc, _ = _run([sys.executable, "bench/run.py", "--workload", "all", "--seed", str(SEED),
                     "--seconds", str(SECONDS)], root, check=True)
-    exp_s = {}
+    exp_runs_s = {name: [] for name in EXPERIMENTS}
     with tempfile.TemporaryDirectory() as out:
-        for name in EXPERIMENTS:
-            _, exp_s[name] = _run([sys.executable, "-m", "robust_assortment.cli", "exp", "--name",
-                                   name, "--seed", "1", "--out", out], root, check=True,
-                                  stderr=subprocess.DEVNULL)
+        for _ in range(EXP_RUNS):  # in turn, so a slow spell of the host hits each one alike
+            for name in EXPERIMENTS:
+                _, seconds = _run([sys.executable, "-m", "robust_assortment.cli", "exp",
+                                   "--name", name, "--seed", "1", "--out", out], root,
+                                  check=True, stderr=subprocess.DEVNULL)
+                exp_runs_s[name].append(seconds)
     tests, tier1_s = _run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                            "--continue-on-collection-errors"], root)
     counts = {kind: int(n) for n, kind in re.findall(r"(\d+) (passed|failed|error)",
@@ -74,7 +80,8 @@ def record(root: Path) -> dict:
         "machine": bench.machine(numpy),
         "bench_args": {"seed": SEED, "seconds": SECONDS},
         "bench": json.loads(proc.stdout.strip().splitlines()[-1]),
-        "exp_s": exp_s,
+        "exp_s": {name: statistics.median(runs) for name, runs in exp_runs_s.items()},
+        "exp_runs_s": exp_runs_s,
         "tier1": {"passed": counts.get("passed", 0), "failed": counts.get("failed", 0),
                   "errors": counts.get("error", 0), "wall_s": tier1_s},
         "src_lines": bench.src_lines(),
