@@ -5,9 +5,12 @@ exactly when some assortment has robust revenue >= t, and every probed level
 yields a witness set whose own robust revenue certifies a level too: a
 feasible probe lifts the search to its witness's value (Dinkelbach's step) and
 checks just above it next, an infeasible one halves the bracket.  The search
-starts from the best revenue-ordered prefix of size <= k, the first witness,
-so most plans take one to three levels.  The plan is the best witness, so its
-certified level is its value.  At the zero radius a probe is the nominal top-k
+starts from the best of the classic candidate sets of the
+cardinality-constrained MNL problem (Rusmevichientong, Shen & Shmoys, 2010),
+scored in one batch: the revenue-ordered prefixes of size <= k, the top-k set
+by attraction, and the zero-radius probe's set at eight levels.  So most plans
+take one or two levels.  The plan is the best witness, so its certified level
+is its value.  At the zero radius a probe is the nominal top-k
 rule.  Otherwise a level is feasible when a sum of per-item level-slack
 curves in the dual variable lam falls below a target.
 At a fixed lam the best sets of size <= k take the k lowest negative curves,
@@ -37,6 +40,8 @@ _PARTS = 4
 _LEAST_WIDTH = 1e-15
 # a search opens on this many points, a factor of 4 apart and ending at hi
 _GRID = 16
+# plan_general's seed holds the zero-radius probe's set at this many levels
+_PROBES = 8
 _BRUTE_SETS = 1 << 16  # plan_bruteforce's sets per kernel call, bounding its scratch memory
 
 
@@ -47,7 +52,7 @@ class PlanResult:
     ``evaluations`` counts the planner's work: scored sets for the exact
     planners; for the general one, one per probed level plus, at a nonzero
     radius, one per curve row (all of a search's curves at one lam)
-    evaluated; the sets it scores, the seed's revenue-ordered prefixes and the
+    evaluated; the sets it scores, the seed's candidate sets and the
     witnesses, are not counted.
     """
 
@@ -413,7 +418,15 @@ def _min_level_slack(fam: _CurveFamily, t: float, k: int, counter: _EvalCounter,
 
 
 def evaluate_level_slack(model: MnlModel, k: int, spec: RadiusSpec, level: float):
-    """Minimal total level slack at ``level`` and an assortment attaining it."""
+    """Minimal total level slack at ``level`` and an assortment attaining it.
+
+    An active item whose revenue equals the level is never selected: its curve
+    is zero.  So under the varying rule the value is the least over sets of items
+    with r > level, and it can lie above the least over all sets of active items,
+    since such an item raises a set's weight and with it the set's dual cap.
+    Whether the level is feasible does not change: a zero curve leaves the slack
+    at each lam as it is, and the cap only prunes.
+    """
     if not 0.0 <= level <= model.r_max:
         raise ValueError("level must lie in [0, r_max]")
     fam = _CurveFamily(model.attractions, model.revenues, model.r_max, spec)
@@ -423,13 +436,16 @@ def evaluate_level_slack(model: MnlModel, k: int, spec: RadiusSpec, level: float
 def plan_general(model: MnlModel, k: int, spec: RadiusSpec, eps: float) -> PlanResult:
     """eps-optimal robust assortment by a witness-driven search over revenue levels.
 
-    The best revenue-ordered prefix of size <= k seeds the search with its value
-    from the prefixes' one batch, which is its own robust revenue bit for bit:
+    The best of k + 9 candidate sets seeds the search with its value from their
+    one ``robust_values`` batch, which is its own robust revenue bit for bit:
     the first lower end, with the first probe eps/2 above it (r_max/2 when no
-    prefix scores above 0).  A probe at level t returns whether t is feasible,
-    whether its slack misses the target by at most the inner tolerance ("near",
-    which ends the search), and a witness set.  The best set seen is returned.
-    The search ends when the bracket is at most eps/2 wide.
+    candidate scores above 0).  The candidates are the revenue-ordered prefixes
+    of size <= k, the top-k set by attraction and the zero-radius probe's set at
+    t = j * r_max / 8 for j = 0..7; ties go to the first, so a prefix wins a
+    tie.  A probe at level t returns whether t is feasible, whether its slack
+    misses the target by at most the inner tolerance ("near", which ends the
+    search), and a witness set.  The best set seen is returned.  The search
+    ends when the bracket is at most eps/2 wide.
     """
     if not 1 <= k <= model.n_items:
         raise ValueError(f"k must lie in 1..{model.n_items}")
@@ -438,14 +454,11 @@ def plan_general(model: MnlModel, k: int, spec: RadiusSpec, eps: float) -> PlanR
 
     counter = _EvalCounter()
     if spec.is_zero:
-        v, r = model.attractions, model.revenues
-
         def probe(t: float):
             counter.n += 1
-            scores = v * (r - t)
-            pos = np.nonzero(scores > 0.0)[0]
-            take = pos[np.lexsort((pos, -scores[pos]))][:k]
-            return float(scores[take].sum()) >= t, False, tuple(sorted(int(i) + 1 for i in take))
+            sets, gains = _nominal_sets(model, k, np.array([t]))
+            gain = float(gains[0, gains[0] > 0.0].sum())  # in order, largest first
+            return gain >= t, False, _items(sets[0])
     else:
         fam = _CurveFamily(model.attractions, model.revenues, model.r_max, spec)
         eps_inner = eps / (4.0 * float(fam.caps(set_weights(np.empty((0, 1))))[0]))
@@ -455,7 +468,9 @@ def plan_general(model: MnlModel, k: int, spec: RadiusSpec, eps: float) -> PlanR
                                                       tol=eps_inner)
             return achieved, not achieved and slack <= fam.target + eps_inner, items
 
-    best_items, best_val = _best_prefix(model, k, spec)
+    seeds = np.concatenate((_prefixes(_top(model.revenues, k)), _top(model.attractions, k)[None],
+                            _nominal_sets(model, k, model.r_max / _PROBES * np.arange(_PROBES))[0]))
+    best_items, best_val = _best_row(model, seeds, spec)
     t_lo, t_hi = best_val, model.r_max
     mid = 0.5 * (t_lo + t_hi)
     t = min(t_lo + eps / 2.0, mid) if t_lo > 0.0 else mid
@@ -478,19 +493,45 @@ def plan_general(model: MnlModel, k: int, spec: RadiusSpec, eps: float) -> PlanR
                       best_effort=not eps < best_val / 2.0)
 
 
-def _best_prefix(model: MnlModel, k: int, spec: RadiusSpec):
-    """The best revenue-ordered prefix of size <= k (ties to the shortest) and its value."""
-    order = np.lexsort((np.arange(model.n_items), -model.revenues))[:k].astype(np.int32) + 1
-    values = robust_values(model, np.where(np.tri(k, dtype=bool), order, 0), spec)
-    depth = int(np.argmax(values))
-    if not values[depth] > 0.0:
+def _top(key: np.ndarray, k: int) -> np.ndarray:
+    """1-based ids of the k largest entries of ``key``, largest first, ties
+    broken by position."""
+    return np.lexsort((np.arange(key.size), -key))[:k].astype(np.int32) + 1
+
+
+def _prefixes(order: np.ndarray) -> np.ndarray:
+    """The prefixes of ``order``, shortest first, as rows padded with 0."""
+    return np.where(np.tri(order.size, dtype=bool), order, 0)
+
+
+def _nominal_sets(model: MnlModel, k: int, levels: np.ndarray):
+    """The zero-radius probe's set at each level t of ``levels`` (the k largest
+    gains v_i (r_i - t) > 0, ties broken by position) as rows of 1-based ids
+    padded with 0, and the k largest gains in the same order."""
+    gains = model.attractions * (model.revenues - levels[:, None])
+    order = np.argsort(-gains, axis=1, kind="stable")[:, :k]
+    gains = np.take_along_axis(gains, order, axis=1)
+    return np.where(gains > 0.0, order + 1, 0), gains
+
+
+def _items(row: np.ndarray) -> tuple[int, ...]:
+    """The sorted item ids of a row padded with 0."""
+    return tuple(sorted(row[row > 0].tolist()))
+
+
+def _best_row(model: MnlModel, rows: np.ndarray, spec: RadiusSpec):
+    """The best of the sets ``rows`` (ties to the first row) and its value, from one
+    ``robust_values`` batch; the empty set and 0 when none scores above 0."""
+    values = robust_values(model, rows, spec)
+    best = int(np.argmax(values))
+    if not values[best] > 0.0:
         return (), 0.0
-    return tuple(sorted(order[:depth + 1].tolist())), float(values[depth])
+    return _items(rows[best]), float(values[best])
 
 
 def plan_unconstrained(model: MnlModel, spec: RadiusSpec) -> PlanResult:
     """Exact unconstrained planner: the optimum is a revenue-ordered prefix."""
-    items, value = _best_prefix(model, model.n_items, spec)
+    items, value = _best_row(model, _prefixes(_top(model.revenues, model.n_items)), spec)
     return PlanResult(assortment=items, value=value, evaluations=model.n_items)
 
 
@@ -501,8 +542,7 @@ def plan_uniform_revenue(model: MnlModel, k: int, spec: RadiusSpec) -> PlanResul
     r = model.revenues
     if float(np.max(r) - np.min(r)) > 1e-12 * model.r_max:
         raise ValueError("plan_uniform_revenue requires (near-)uniform revenues")
-    order = sorted(range(1, model.n_items + 1), key=lambda i: (-model.attractions[i - 1], i))
-    items = tuple(sorted(order[:k]))
+    items = _items(_top(model.attractions, k))
     val = float(robust_values(model, [items], spec)[0])
     if val <= 0.0:
         return PlanResult(assortment=(), value=0.0, evaluations=1)

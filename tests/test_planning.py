@@ -872,6 +872,36 @@ def test_plan_general_at_1000_items_is_cheap():
             assert result.value >= robust_revenue(model, top, spec).value
 
 
+# the plan benchmark's cells: (items, attraction scale, varying rule)
+_BENCH_PLAN_CELLS = (
+    (20, 3.0, False), (30, 3.0, False), (20, 3.0, True), (50, 3.0, True), (20, 1.0, False),
+    (40, 3.0, True), (20, 1.0, True), (30, 1.0, False), (30, 0.3, False), (30, 1.0, True),
+    (100, 3.0, True), (40, 1.0, False), (30, 0.3, True), (200, 30.0, True), (50, 1.0, False),
+    (40, 1.0, True), (100, 3.0, False), (150, 10.0, False), (50, 0.1, False), (60, 0.1, False),
+)
+
+
+def test_plan_general_levels_on_the_benchmark_cells(monkeypatch):
+    # seeded from the revenue-ordered prefixes alone, these 100 plans took 219
+    # levels, 6 in the worst plan: when no prefix scores above 0 the search
+    # halves down from r_max/2, and a weak prefix makes Dinkelbach's step creep
+    levels = []
+    min_level_slack = planning._min_level_slack
+
+    def spy(*args, **kwargs):
+        levels[-1] += 1
+        return min_level_slack(*args, **kwargs)
+
+    monkeypatch.setattr(planning, "_min_level_slack", spy)
+    for seed in range(1, 6):
+        for index, (n, scale, varying) in enumerate(_BENCH_PLAN_CELLS):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, zlib.crc32(b"plan"), index]))
+            model = _stratified_instance(n, scale, rng)
+            levels.append(0)
+            plan_general(model, max(2, round(n / 10)), _benchmark_spec(model, varying), eps=1e-5)
+    assert sum(levels) <= 150 and max(levels) <= 4
+
+
 @settings(max_examples=300, deadline=None)
 @given(planning_instances(), st.sampled_from((1e-3, 1e-6)))
 def test_plan_general_beats_every_revenue_ordered_prefix(case, eps):

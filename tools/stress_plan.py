@@ -5,11 +5,23 @@
 Each instance draws n <= 22 items with attractions from 1e-4 to 1e4, tied,
 zero or continuous revenues, a constant radius from 1e-11 to 30 or a varying
 budget up to its bound, a cardinality k and eps from 1e-6 to 1e-3, with
-r_max = 1.  For each it checks that
+r_max = 1.  A quarter of the instances are anti-correlated, as in the plan
+benchmark: revenues spread over [0.1, 1] and attractions in scale * [0.5, 1.5]
+that fall as revenue rises, the shape for which ``plan_general`` seeds its
+search with more than the revenue-ordered prefixes.  For each instance it
+checks that
 
 - ``plan`` falls short of ``plan_bruteforce`` by at most eps;
 - ``plan`` exceeds it by at most the oracle's tie tolerance, 1e-10 * r_max;
 - both plans' values equal ``robust_revenue`` of their own assortments bit for bit.
+
+It checks plan values only.  Every witness the level search finds is scored
+exactly, so a flaw inside one level test (``planning._min_level_slack``) can
+leave every plan value intact.  The level test itself is covered by tier-1:
+``tests/test_planning.py`` holds it to a reference walk, an exhaustive
+minimum and a fine grid (``test_bulk_screen_matches_the_reference_loop``,
+``test_varying_level_slack_matches_the_exhaustive_minimum``,
+``test_level_slack_single_item_against_grid``).
 
 It prints one summary line, every violation on standard error, and exits 1
 if there was any.
@@ -46,8 +58,12 @@ def instance(rng: np.random.Generator):
     """(model, k, spec, eps) of one seeded draw."""
     n = int(rng.integers(2, 23))
     v = 10.0 ** rng.uniform(-4.0, 4.0, n)
-    kind = rng.integers(3)
-    if kind == 0:  # ties and zeros only
+    kind = rng.integers(4)
+    if kind == 3:  # anti-correlated: the dearer item is the less attractive
+        rank = rng.permutation(n)
+        r = 0.1 + 0.9 * (rank + rng.random(n)) / n
+        v = v[0] * (1.5 - (rank + rng.random(n)) / n)  # v[0]: a log-uniform scale
+    elif kind == 0:  # ties and zeros only
         r = rng.choice(TIED_REVENUES, n)
     elif kind == 1:  # some zeros among continuous revenues
         r = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0.0, 1.0, n))
