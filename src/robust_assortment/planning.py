@@ -35,7 +35,7 @@ from .robust import robust_values
 _REL_TOL = 1e-12
 # an interval (0, b] splits at b / _ZERO_SPLIT, any other into _PARTS parts
 _ZERO_SPLIT = 1024.0
-_PARTS = 4
+_PARTS = 16
 # intervals narrower than this share of their right end are not split again
 _LEAST_WIDTH = 1e-15
 # a search opens on this many points, a factor of 4 apart and ending at hi
@@ -315,12 +315,13 @@ def _search(fam: _CurveFamily, t: float, items: np.ndarray, k: int, lo: float, h
     to hi when lo > 0), so its first pass spans nine decades of lam.  The
     evaluated points cut (0, hi] into intervals.  One whose bound (see
     ``_bounds``) undercuts the best attained value by more than the tolerance
-    is split: (0, b] at b/1024, any other into four parts, geometric while it
-    spans more than a factor of two.  Under the varying rule a selection's
-    weight never rises with lam (the curves are ordered by -v as lam -> 0+,
-    and each pair crosses at most once), so its cap falls: the least evaluated
-    lam at or above its selection's cap ends the search, and if above, that
-    cap is evaluated too.
+    is split: (0, b] at b/1024, any other into 16 parts, geometric while it
+    spans more than a factor of two.  A pass costs a fixed run of small numpy
+    calls whatever its width, so few wide passes beat many narrow ones.  Under
+    the varying rule a selection's weight never rises with lam (the curves are
+    ordered by -v as lam -> 0+, and each pair crosses at most once), so its cap
+    falls: the least evaluated lam at or above its selection's cap ends the
+    search, and if above, that cap is evaluated too.
     """
     v, k = fam.v[items], min(k, items.size)
     low_at_zero = np.sort(np.where(fam.r[items] > t, -v, 0.0))[:k].sum()  # lam -> 0+ limits

@@ -60,13 +60,14 @@ def _solve_block(logp: np.ndarray, R: np.ndarray, rho: np.ndarray, r_max: float)
 
     phi' = KL(q_lam || P) - rho decreases in lam: columns with phi' <= 0 at the
     floor (infinite radii among them) or >= 0 at the cap stop there, in round
-    one.  The rest run Newton from the cap on u = log(lam) for g = log(KL/rho),
-    which has the sign of phi' and dg/du = -Var_q(r)/(lam^2 KL); the log
-    straightens the KL ~ e^{-2u} tail.  Steps leaving the sign bracket [lo, hi]
-    bisect it.  Stopped columns leave; ``take``/``compress`` keep the rest C-ordered.
+    one, and leave the block.  The rest run Newton from the cap on u = log(lam)
+    for g = log(KL/rho), which has the sign of phi' and dg/du = -Var_q(r)/(lam^2 KL);
+    the log straightens the KL ~ e^{-2u} tail.  Steps leaving the sign bracket
+    [lo, hi] bisect it.  A column that stops later keeps its u, and each column's
+    moments are its own arithmetic, so every later round recomputes its results
+    bit for bit; they are read once, when the last column stops.
     """
     n = rho.size
-    out = (np.empty(n), np.empty(n), np.empty(R.shape))
     lo = np.full(n, math.log(LAMBDA_FLOOR * r_max))
     hi = np.maximum(math.log(r_max) - np.log(rho), lo)  # a cap below the floor is clamped
     # floor and cap in one pass over the block placed twice side by side
@@ -74,34 +75,40 @@ def _solve_block(logp: np.ndarray, R: np.ndarray, rho: np.ndarray, r_max: float)
     lam = np.exp(u)
     log_m, q, kl, var = _moments(np.concatenate((logp, logp), axis=1),
                                  np.concatenate((R, R), axis=1), lam)
-    idx = np.arange(n)
     at_floor = kl[:n] <= rho
-    settled = at_floor | (kl[n:] >= rho)
-    pick = np.where(at_floor, idx, idx + n)
+    pick = np.where(at_floor, np.arange(n), np.arange(n, 2 * n))
     u, lam, log_m, q, kl, var = (a.take(pick, axis=-1) for a in (u, lam, log_m, q, kl, var))
-    for it in range(_MAX_ITER):
+    out = (lam, log_m, q)
+    run = np.flatnonzero(~at_floor & (kl < rho))
+    if run.size < n:  # one compaction, only when it drops a column
+        u, lam, log_m, q, kl, var, logp, R, rho, lo, hi = (
+            a.take(run, axis=-1) for a in (u, lam, log_m, q, kl, var, logp, R, rho, lo, hi))
+    done, num, step = np.zeros(run.size, dtype=bool), np.empty(run.size), np.empty(run.size)
+    for _ in range(_MAX_ITER - 1):  # after _MAX_ITER rounds of moments every column stops
         above = kl > rho
-        lo = np.where(above, u, lo)
-        hi = np.where(above, hi, u)
-        pos = ~settled & (kl > 0.0)
-        num = np.log(kl / rho, out=np.zeros(idx.size), where=pos) * kl * lam * lam
+        np.copyto(lo, u, where=above)
+        np.copyto(hi, u, where=~above)
+        pos = kl > 0.0
+        num.fill(0.0)
+        np.log(kl / rho, out=num, where=pos)
+        num *= kl
+        num *= lam
+        num *= lam
         # the Newton step is num/var; it is taken only when it stays inside the bracket
-        newton = pos & (np.abs(num) < var * (hi - lo))
-        step = np.divide(num, var, out=np.zeros(idx.size), where=newton)
-        stop = (settled | (newton & (np.abs(step) <= _STEP_TOL)) | (hi - lo <= _STEP_TOL)
-                | (it == _MAX_ITER - 1))
+        width = hi - lo
+        newton = pos & (np.abs(num) < var * width)
+        step.fill(0.0)
+        np.divide(num, var, out=step, where=newton)
+        done |= (newton & (np.abs(step) <= _STEP_TOL)) | (width <= _STEP_TOL)
+        if done.all():
+            break
         u_next = u + step
-        u = np.where(newton & (u_next > lo) & (u_next < hi), u_next, 0.5 * (lo + hi))
-        if stop.any():
-            for dst, src in zip(out, (lam, log_m, q)):
-                dst[..., idx[stop]] = src[..., stop]
-            u, idx, logp, R, rho, lo, hi = (a.compress(~stop, axis=-1)
-                                            for a in (u, idx, logp, R, rho, lo, hi))
-            if idx.size == 0:
-                break
-        settled = np.False_  # only the first round has columns settled at the floor or cap
+        np.copyto(u, np.where(newton & (u_next > lo) & (u_next < hi), u_next, 0.5 * (lo + hi)),
+                  where=~done)
         lam = np.exp(u)
         log_m, q, kl, var = _moments(logp, R, lam)
+    for dst, src in zip(out, (lam, log_m, q)):
+        dst[..., run] = src
     return out
 
 

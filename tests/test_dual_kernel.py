@@ -97,6 +97,30 @@ def test_batch_beyond_the_default_block_equals_batches_of_one():
         assert np.array_equal(one[2][:, 0], tilt[:, col])
 
 
+@pytest.mark.parametrize("per_block", [None, 2])
+def test_a_straggler_leaves_the_stopped_columns_of_its_batch_as_they_stopped(per_block):
+    # column 0 sits near saturation (its zero-revenue mass is 0.81) and takes
+    # 10 Newton rounds; the others stop sooner, at the floor, at once, or never
+    # enter the kernel, and must keep the bits they stopped with
+    saturation = -math.log(0.81)
+    P = np.array([[0.5, 0.5, 0.6, 0.5, 0.5, 0.5, 0.5],
+                  [0.31, 0.31, 0.4, 0.31, 0.31, 0.31, 0.31],
+                  [0.1, 0.1, 0.0, 0.1, 0.1, 0.1, 0.1],
+                  [0.09, 0.09, 0.0, 0.09, 0.09, 0.09, 0.09]])
+    R = np.array([[0.0] * 7, [0.0, 0.0, 0.7, 0.0, 0.0, 0.0, 0.0], [0.6] * 7, [0.9] * 7])
+    R[2:, 2] = 0.0
+    rho = np.array([0.995 * saturation, 0.05, 0.05, 1e-3, 1.5 * saturation, math.inf, 0.0])
+    with pytest.MonkeyPatch.context() as mp:
+        if per_block is not None:
+            mp.setattr(robust, "_BLOCK_ENTRIES", 2 * per_block * P.shape[0])
+        values, lam, tilt = _dual_batch(P, R, rho, 1.0)
+        for col in range(rho.size):
+            one = _dual_batch(P[:, col:col + 1], R[:, col:col + 1], rho[col:col + 1], 1.0)
+            assert (one[0][0], one[1][0]) == (values[col], lam[col])
+            assert np.array_equal(one[2][:, 0], tilt[:, col])
+    assert 0.0 < values[0] < values[3] and values[4] == values[5] == 0.0 and lam[6] == math.inf
+
+
 # the value is floored at 0 (lambda_star 0) in both.  The one item that earns is
 # light, so at rho = 30 the ball holds P restricted to the zero-revenue choices;
 # a heavy item of revenue 1e-153 keeps most of the mass in any ball of radius 1,

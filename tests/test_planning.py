@@ -881,6 +881,15 @@ _BENCH_PLAN_CELLS = (
 )
 
 
+def _benchmark_plans():
+    """(model, k, spec) of the plan benchmark's 20 cells at seeds 1-5, drawn as it draws them."""
+    for seed in range(1, 6):
+        for index, (n, scale, varying) in enumerate(_BENCH_PLAN_CELLS):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, zlib.crc32(b"plan"), index]))
+            model = _stratified_instance(n, scale, rng)
+            yield model, max(2, round(n / 10)), _benchmark_spec(model, varying)
+
+
 def test_plan_general_levels_on_the_benchmark_cells(monkeypatch):
     # seeded from the revenue-ordered prefixes alone, these 100 plans took 219
     # levels, 6 in the worst plan: when no prefix scores above 0 the search
@@ -893,13 +902,27 @@ def test_plan_general_levels_on_the_benchmark_cells(monkeypatch):
         return min_level_slack(*args, **kwargs)
 
     monkeypatch.setattr(planning, "_min_level_slack", spy)
-    for seed in range(1, 6):
-        for index, (n, scale, varying) in enumerate(_BENCH_PLAN_CELLS):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, zlib.crc32(b"plan"), index]))
-            model = _stratified_instance(n, scale, rng)
-            levels.append(0)
-            plan_general(model, max(2, round(n / 10)), _benchmark_spec(model, varying), eps=1e-5)
+    for model, k, spec in _benchmark_plans():
+        levels.append(0)
+        plan_general(model, k, spec, eps=1e-5)
     assert sum(levels) <= 150 and max(levels) <= 4
+
+
+def test_plan_general_passes_on_the_benchmark_cells(monkeypatch):
+    # a branch-and-bound pass is a fixed run of small numpy calls, so passes set a
+    # level's cost; splitting each open interval into 4 parts took 782 passes here
+    passes = 0
+    points = planning._points
+
+    def spy(*args, **kwargs):
+        nonlocal passes
+        passes += 1
+        return points(*args, **kwargs)
+
+    monkeypatch.setattr(planning, "_points", spy)
+    for model, k, spec in _benchmark_plans():
+        plan_general(model, k, spec, eps=1e-5)
+    assert passes <= 600
 
 
 @settings(max_examples=300, deadline=None)
