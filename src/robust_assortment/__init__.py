@@ -13,7 +13,6 @@ from .estimation import (
     OfflineDataset,
     RankBreakingCounts,
     RankBreakingEstimate,
-    lcb_validity_rate,
     load_dataset,
     point_and_lcb,
     rank_breaking,
@@ -61,6 +60,7 @@ from .simulate import (
     generate_dataset,
     instance_cardinality,
     instance_sample_efficiency,
+    lcb_validity_rate,
     perturb_prior,
     random_schedule,
     shift_metrics,

@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan = sub.add_parser("plan", help="solve an optimal robust assortment")
     p_plan.add_argument("--model", required=True, help="model JSON path")
     p_plan.add_argument("--k", type=int, default=None, help="cardinality cap (default: all)")
-    p_plan.add_argument("--eps", type=float, default=1e-5, help="planning tolerance")
+    p_plan.add_argument("--eps", type=float, default=None, help="tolerance (default 1e-5 r_max)")
     p_plan.add_argument("--method", choices=("auto", "general", "bruteforce"), default="auto")
     p_plan.add_argument("--out", default=None)
     _add_spec_flags(p_plan)
@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_learn.add_argument("--n-items", type=int, default=None)
     p_learn.add_argument("--k", type=int, required=True)
     p_learn.add_argument("--delta", type=float, default=0.01)
-    p_learn.add_argument("--eps", type=float, default=None)
+    p_learn.add_argument("--eps", type=float, default=None, help="tolerance (default 1e-5 r_max)")
     p_learn.add_argument("--baseline", action="store_true",
                          help="plug-in baseline instead of the pessimistic learner")
     p_learn.add_argument("--model", default=None, help="model JSON for revenues")

@@ -18,7 +18,7 @@ from itertools import chain
 import numpy as np
 
 from .base import DataValidationError, InvalidAssortmentError
-from .model import MnlModel, _ascending, as_assortment
+from .model import _ascending, as_assortment
 
 #: Cap applied to the plug-in attraction when the win-rate estimate is 1.
 DEFAULT_V_CAP = 1e9
@@ -406,23 +406,3 @@ def point_and_lcb(counts: RankBreakingCounts, delta: float) -> RankBreakingEstim
         wins=counts.wins.copy(), duels=counts.duels.copy(), offered=counts.offered.copy(),
         p_hat=p_hat, v_hat=v_hat, p_lcb=p_lcb, v_lcb=v_lcb, delta=delta,
     )
-
-
-def lcb_validity_rate(model: MnlModel, schedule, n: int, delta: float,
-                      replications: int, rng: np.random.Generator) -> float:
-    """Monte-Carlo frequency of the event {v_lcb <= v for every item}.
-
-    ``schedule`` is either a fixed sequence of assortments or a factory
-    ``(n, rng) -> sequence`` drawn fresh each replication.
-    """
-    from .simulate import generate_dataset  # local import to avoid a cycle
-
-    hits = 0
-    for _ in range(replications):
-        plan = schedule(n, rng) if callable(schedule) else list(schedule)[:n]
-        dataset = generate_dataset(model, plan, rng)
-        counts = rank_breaking(dataset, model.n_items)
-        est = point_and_lcb(counts, delta)
-        if np.all(est.v_lcb <= model.attractions + 1e-12):
-            hits += 1
-    return hits / replications

@@ -12,6 +12,7 @@ import csv
 import datetime
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -77,8 +78,9 @@ class ExperimentConfig:
         count = integer(1)
 
         def radius(x):
+            # compared, not converted: an integer beyond the float range fails
             return isinstance(x, (int, float, np.number)) and not isinstance(x, bool) and (
-                math.isfinite(x) and x >= 0.0)
+                0.0 <= x <= sys.float_info.max)
 
         def grid(of):
             return lambda xs: isinstance(xs, tuple) and len(xs) > 0 and all(map(of, xs))
@@ -155,10 +157,6 @@ class ResultTable:
         return written
 
 
-def _worker_count(cfg: ExperimentConfig) -> int:
-    return max(1, cfg.workers or 1)
-
-
 def _map_tasks(fn, tasks: list, workers: int) -> list:
     if workers <= 1 or len(tasks) <= 1:
         return [fn(task) for task in tasks]
@@ -193,8 +191,7 @@ def _exp1_cell(task) -> list[tuple]:
         )
         v_used = estimate.v_lcb if pessimism else estimate.v_hat
         items, _ = _plan_on_estimate(np.asarray(v_used, dtype=float), learn_cfg)
-        gap = suboptimality(model, spec, items, 3, eps=learn_cfg.resolved_eps(),
-                            star_value=star)
+        gap = suboptimality(model, spec, items, 3, star_value=star)
         rows.append((method, family, rho, n, rep, gap))
     return rows
 
@@ -209,7 +206,7 @@ def run_exp_sample_efficiency(cfg: ExperimentConfig) -> ResultTable:
             for n in cfg.n_grid:
                 for rep in range(cfg.replications):
                     tasks.append((cfg, family, rho, star, n, rep))
-    chunks = _map_tasks(_exp1_cell, tasks, _worker_count(cfg))
+    chunks = _map_tasks(_exp1_cell, tasks, cfg.workers or 1)
     detail = [row for chunk in chunks for row in chunk]
     summary = _summarize(detail, key=lambda r: (r[0], r[1], r[2], r[3]), value_index=5)
     return ResultTable(
@@ -301,16 +298,15 @@ def run_exp_robustness(cfg: ExperimentConfig) -> ResultTable:
 # ---------------------------------------------------------------------------
 
 def _exp3_instance(cfg: ExperimentConfig, mode: str, family: str, k: int):
-    """(model, schedule, spec, eps) of one exp3 cell."""
+    """(model, schedule, spec) of one exp3 cell."""
     model, schedule = instance_cardinality(k, cfg.n_effect, mode == "uniform")
     spec = _spec(family, cfg.rho_exp3 if family == "constant" else cfg.rho0_exp3, model)
-    eps = cfg.eps_plan if cfg.eps_plan is not None else 1e-5 * model.r_max
-    return model, schedule, spec, eps
+    return model, schedule, spec
 
 
 def _exp3_cell(task) -> list[tuple]:
     cfg, mode, family, k, star, rep = task
-    model, schedule, spec, eps = _exp3_instance(cfg, mode, family, k)
+    model, schedule, spec = _exp3_instance(cfg, mode, family, k)
     # per-item budget without the 1/N union scaling: these instances pin the
     # per-item duel counts near n_effect, where a scaled budget floors every
     # lower confidence bound at zero and nothing can be learned
@@ -318,9 +314,9 @@ def _exp3_cell(task) -> list[tuple]:
     rng = cfg.rng_for("exp3", mode, family, k, rep)
     dataset = generate_dataset(model, schedule, rng)
     learn_cfg = LearnConfig(k=k, delta=delta, spec=spec, revenues=tuple(model.revenues),
-                            r_max=model.r_max, eps_plan=eps)
+                            r_max=model.r_max, eps_plan=cfg.eps_plan)
     items, _ = learn_robust_assortment(dataset, model.n_items, learn_cfg)
-    gap = suboptimality(model, spec, items, k, eps=eps, star_value=star)
+    gap = suboptimality(model, spec, items, k, star_value=star)
     return [(mode, family, k, rep, gap)]
 
 
@@ -330,11 +326,11 @@ def run_exp_cardinality(cfg: ExperimentConfig) -> ResultTable:
     for mode in ("uniform", "nonuniform"):
         for family in ("constant", "varying"):
             for k in cfg.k_grid:
-                model, _, spec, eps = _exp3_instance(cfg, mode, family, k)
-                star = plan(model, k, spec, eps=eps).value  # one optimum per cell
+                model, _, spec = _exp3_instance(cfg, mode, family, k)
+                star = plan(model, k, spec, eps=cfg.eps_plan).value  # one optimum per cell
                 for rep in range(cfg.replications):
                     tasks.append((cfg, mode, family, k, star, rep))
-    chunks = _map_tasks(_exp3_cell, tasks, _worker_count(cfg))
+    chunks = _map_tasks(_exp3_cell, tasks, cfg.workers or 1)
     detail = [row for chunk in chunks for row in chunk]
     means = _summarize(detail, key=lambda r: (r[0], r[1], r[2]), value_index=4)
     slopes = {}

@@ -57,11 +57,6 @@ class LearnConfig:
             return float(self.r_max)
         return float(max(self.revenues))
 
-    def resolved_eps(self) -> float:
-        if self.eps_plan is not None:
-            return float(self.eps_plan)
-        return 1e-5 * self.resolved_r_max()
-
 
 def _plan_on_estimate(v_est: np.ndarray, cfg: LearnConfig) -> tuple[tuple[int, ...], PlanResult | None]:
     """Plan on estimated attractions, skipping zero-attraction items.
@@ -79,7 +74,7 @@ def _plan_on_estimate(v_est: np.ndarray, cfg: LearnConfig) -> tuple[tuple[int, .
         r_max=cfg.resolved_r_max(),
     )
     k_sub = min(cfg.k, keep.size)
-    result = plan(sub, k_sub, cfg.spec, eps=cfg.resolved_eps())
+    result = plan(sub, k_sub, cfg.spec, eps=cfg.eps_plan)
     items = tuple(sorted(int(keep[i - 1]) + 1 for i in result.assortment))
     return items, result
 
@@ -108,7 +103,7 @@ def learn_robust_assortment(dataset, n_items: int, cfg: LearnConfig):
 
 
 def suboptimality(true_model: MnlModel, spec: RadiusSpec, s_hat, k: int,
-                  eps: float, star_value: float | None = None) -> float:
+                  eps: float | None = None, star_value: float | None = None) -> float:
     """Robust-revenue gap of ``s_hat`` against the optimal robust assortment.
 
     ``star_value`` short-circuits re-planning when the optimum is already

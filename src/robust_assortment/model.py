@@ -14,6 +14,8 @@ from .base import InvalidAssortmentError, ModelFormatError, NumericRangeError
 V0 = 1.0
 #: Lower end of the dual kernel's search bracket for lambda, relative to r_max.
 LAMBDA_FLOOR = 1e-12
+#: Largest r_max: the dual kernel squares lambda, which reaches 1e12 * r_max.
+R_MAX_CEIL = 1e100
 
 
 def column_sums(x: np.ndarray) -> np.ndarray:
@@ -86,6 +88,9 @@ class MnlModel:
         if LAMBDA_FLOOR * r_max < sys.float_info.min:
             raise NumericRangeError(f"r_max={r_max} is too small: the dual's lambda floor "
                                     f"{LAMBDA_FLOOR} * r_max is not a normal float")
+        if r_max > R_MAX_CEIL:
+            raise NumericRangeError(f"r_max={r_max} is too large: the dual kernel needs "
+                                    f"r_max <= {R_MAX_CEIL}")
         if not np.all(np.isfinite(r)) or np.any(r < 0.0) or np.any(r > r_max):
             raise ValueError(f"revenues must lie in [0, r_max={r_max}]")
         v = v.copy()
@@ -124,11 +129,17 @@ class MnlModel:
         missing = [key for key in ("attractions", "revenues") if key not in payload]
         if missing:
             raise ModelFormatError(f"model has no {' or '.join(map(repr, missing))} field")
-        return cls(
-            attractions=np.asarray(payload["attractions"], dtype=float),
-            revenues=np.asarray(payload["revenues"], dtype=float),
-            r_max=payload.get("r_max"),
-        )
+        r_max = payload.get("r_max")
+        fields = {"attractions": payload["attractions"], "revenues": payload["revenues"],
+                  "r_max": [] if r_max is None else [r_max]}
+        for key, values in fields.items():
+            # finite JSON numbers: a true or false reads as a bool, which is no number here
+            if not (isinstance(values, list) and all(
+                    type(x) in (int, float) and abs(x) <= sys.float_info.max for x in values)):
+                what = "finite number or null" if key == "r_max" else "list of finite numbers"
+                raise ModelFormatError(f"model field {key!r} must be a {what}")
+        return cls(attractions=np.array(payload["attractions"], dtype=float),
+                   revenues=np.array(payload["revenues"], dtype=float), r_max=r_max)
 
 
 def load_model(path) -> MnlModel:

@@ -43,6 +43,10 @@ _GRID = 16
 # plan_general's seed holds the zero-radius probe's set at this many levels
 _PROBES = 8
 _BRUTE_SETS = 1 << 16  # plan_bruteforce's sets per kernel call, bounding its scratch memory
+# plan_general's default eps, relative to r_max
+_EPS_REL = 1e-5
+# _dedup_sorted drops a point within this share of max(1, x) of the last one kept
+_DEDUP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -228,11 +232,11 @@ def _pair_crossings(v: np.ndarray, r: np.ndarray, t: float, shift: float) -> np.
     return np.sort(lam[lam > 0.0])  # lo halves to 0 below the least subnormal
 
 
-def _dedup_sorted(xs: np.ndarray, rel: float = 1e-12) -> list[float]:
-    """Drop each point within ``rel * max(1, x)`` of the last point kept."""
+def _dedup_sorted(xs: np.ndarray) -> list[float]:
+    """Drop each point within ``_DEDUP * max(1, x)`` of the last point kept."""
     out: list[float] = []
     for x in xs:
-        if not out or x - out[-1] > rel * max(1.0, x):
+        if not out or x - out[-1] > _DEDUP * max(1.0, x):
             out.append(float(x))
     return out
 
@@ -434,7 +438,8 @@ def evaluate_level_slack(model: MnlModel, k: int, spec: RadiusSpec, level: float
     return _min_level_slack(fam, level, k, _EvalCounter())[:2]
 
 
-def plan_general(model: MnlModel, k: int, spec: RadiusSpec, eps: float) -> PlanResult:
+def plan_general(model: MnlModel, k: int, spec: RadiusSpec,
+                 eps: float | None = None) -> PlanResult:
     """eps-optimal robust assortment by a witness-driven search over revenue levels.
 
     The best of k + 9 candidate sets seeds the search with its value from their
@@ -446,10 +451,12 @@ def plan_general(model: MnlModel, k: int, spec: RadiusSpec, eps: float) -> PlanR
     tie.  A probe at level t returns whether t is feasible, whether its slack
     misses the target by at most the inner tolerance ("near", which ends the
     search), and a witness set.  The best set seen is returned.  The search
-    ends when the bracket is at most eps/2 wide.
+    ends when the bracket is at most eps/2 wide; eps defaults to 1e-5 * r_max (``_EPS_REL``).
     """
     if not 1 <= k <= model.n_items:
         raise ValueError(f"k must lie in 1..{model.n_items}")
+    if eps is None:
+        eps = _EPS_REL * model.r_max
     if not eps > 0.0:
         raise ValueError("eps must be positive")
 
@@ -540,14 +547,10 @@ def plan_uniform_revenue(model: MnlModel, k: int, spec: RadiusSpec) -> PlanResul
     """Exact planner for uniform revenues: take the k largest attractions."""
     if not 1 <= k <= model.n_items:
         raise ValueError(f"k must lie in 1..{model.n_items}")
-    r = model.revenues
-    if float(np.max(r) - np.min(r)) > 1e-12 * model.r_max:
+    if np.ptp(model.revenues) > 1e-12 * model.r_max:
         raise ValueError("plan_uniform_revenue requires (near-)uniform revenues")
-    items = _items(_top(model.attractions, k))
-    val = float(robust_values(model, [items], spec)[0])
-    if val <= 0.0:
-        return PlanResult(assortment=(), value=0.0, evaluations=1)
-    return PlanResult(assortment=items, value=val, evaluations=1)
+    items, value = _best_row(model, _top(model.attractions, k)[None], spec)
+    return PlanResult(assortment=items, value=value, evaluations=1)
 
 
 def plan_bruteforce(model: MnlModel, k: int, spec: RadiusSpec) -> PlanResult:
@@ -577,12 +580,9 @@ def plan_bruteforce(model: MnlModel, k: int, spec: RadiusSpec) -> PlanResult:
 
 
 def plan(model: MnlModel, k: int, spec: RadiusSpec, eps: float | None = None) -> PlanResult:
-    """Dispatch to the cheapest exact planner that applies, else the general one."""
-    if eps is None:
-        eps = 1e-6 * model.r_max
+    """Dispatch to the cheapest exact planner that applies, else ``plan_general``."""
     k = min(k, model.n_items)  # a larger k plans the unconstrained optimum on every path
-    r = model.revenues
-    if float(np.max(r) - np.min(r)) <= 1e-12 * model.r_max:
+    if np.ptp(model.revenues) <= 1e-12 * model.r_max:
         return plan_uniform_revenue(model, k, spec)
     if k >= model.n_items:
         return plan_unconstrained(model, spec)

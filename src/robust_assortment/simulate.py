@@ -6,10 +6,9 @@ import math
 import numpy as np
 
 from .base import RobustAssortmentError
-from .estimation import OfflineDataset, _csr, _validated
-from .model import MnlModel, _draw_choices, as_assortment
-from .radius import ConstantRadius
-from .robust import _dual_batch, kl_divergence, robust_values
+from .estimation import OfflineDataset, _csr, _validated, point_and_lcb, rank_breaking
+from .model import MnlModel, _draw_choices, as_assortment, choice_columns, nominal_revenues
+from .robust import _dual_batch, kl_divergence
 
 #: A prior shift tilts by at most beta*(max d - min d) = _TILT_SPAN, so no probability
 #: falls below exp(-_TILT_SPAN) times its nominal one; its KL target stays a relative
@@ -17,6 +16,8 @@ from .robust import _dual_batch, kl_divergence, robust_values
 _TILT_SPAN, _REACH_MARGIN = 600.0, 1e-12
 #: Revenues within this share of r_max of the best tie for exp2's best radius.
 _TIE = 1e-12
+#: Catalogue size of instance_cardinality.
+_CARDINALITY_ITEMS = 50
 
 
 def generate_dataset(model: MnlModel, schedule, rng: np.random.Generator) -> OfflineDataset:
@@ -43,6 +44,21 @@ def generate_dataset(model: MnlModel, schedule, rng: np.random.Generator) -> Off
             sets = items[offsets[rec, None] + np.arange(k)]  # row j: record rec[j]'s set
         choices[rec] = _draw_choices(model, sets, uniforms[rec])
     return OfflineDataset.from_arrays(offsets, items, choices)
+
+
+def lcb_validity_rate(model: MnlModel, schedule, n: int, delta: float,
+                      replications: int, rng: np.random.Generator) -> float:
+    """Monte-Carlo frequency of the event {v_lcb <= v for every item}.
+
+    ``schedule`` is either a fixed sequence of assortments or a factory
+    ``(n, rng) -> sequence`` drawn fresh each replication.
+    """
+    hits = 0
+    for _ in range(replications):
+        plan = schedule(n, rng) if callable(schedule) else list(schedule)[:n]
+        counts = rank_breaking(generate_dataset(model, plan, rng), model.n_items)
+        hits += bool(np.all(point_and_lcb(counts, delta).v_lcb <= model.attractions + 1e-12))
+    return hits / replications
 
 
 def instance_sample_efficiency() -> tuple[MnlModel, callable]:
@@ -77,8 +93,7 @@ def instance_sample_efficiency() -> tuple[MnlModel, callable]:
     return model, schedule_factory
 
 
-def instance_cardinality(k: int, n_effect: int, uniform: bool,
-                         n_items: int = 50) -> tuple[MnlModel, np.ndarray]:
+def instance_cardinality(k: int, n_effect: int, uniform: bool) -> tuple[MnlModel, np.ndarray]:
     """Hard instances probing how the cardinality cap drives the learning rate.
 
     Uniform mode boosts k items by 1/sqrt(n_effect*k) over the common 1/k with
@@ -88,6 +103,7 @@ def instance_cardinality(k: int, n_effect: int, uniform: bool,
     shows item ceil(j/n_effect) alongside the fixed block {4k+2..5k} in row j,
     so every revenue-bearing item is offered in exactly n_effect records.
     """
+    n_items = _CARDINALITY_ITEMS
     if not (k >= 1 and 5 * k <= n_items):
         raise ValueError(f"need 1 <= k and 5k <= {n_items}")
     if n_effect < 1:
@@ -178,7 +194,7 @@ def shift_metrics(assortments_by_rho: dict[float, tuple[int, ...]],
     """Robustness gains of radius-indexed assortments under shifted environments.
 
     For each perturbed model, scores the nominal expected revenue of every
-    learned assortment in one kernel call (an empty assortment scores 0).
+    learned assortment in one ``nominal_revenues`` call (an empty one scores 0).
     Returns per model the gain, the best improvement over the zero-radius
     assortment; the base, that assortment's own revenue; and the best radius,
     the smallest radius whose revenue is within ``_TIE * r_max`` of the best,
@@ -194,7 +210,7 @@ def shift_metrics(assortments_by_rho: dict[float, tuple[int, ...]],
     anchor = grid.index(0.0)
     gains, bases, best_radii = [], [], []
     for shifted in perturbed_models:
-        revenue = robust_values(shifted, rows, ConstantRadius(0.0))
+        revenue = nominal_revenues(*choice_columns(shifted, rows)[:2])
         best = revenue.max()
         gains.append(best - revenue[anchor])
         bases.append(revenue[anchor])

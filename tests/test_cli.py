@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from robust_assortment import MnlModel, save_model
+from robust_assortment import MnlModel, planning, save_model
 from robust_assortment.cli import main
+from robust_assortment.experiments import EXPERIMENT_NAMES, ExperimentConfig
 
 
 @pytest.fixture
@@ -141,6 +148,47 @@ def test_model_without_field_is_a_typed_error(tmp_path, capsys):
     assert main(["plan", "--model", str(path), "--rho", "0.1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'attractions'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("payload, named", [
+    ({"attractions": {"a": 1}, "revenues": [1]}, "'attractions' must be a list of finite"),
+    ({"attractions": [1], "revenues": [1], "r_max": [1]}, "'r_max' must be a finite number"),
+    ({"attractions": [1, True], "revenues": [1, 1]}, "'attractions' must be a list of finite"),
+    ({"attractions": [1], "revenues": "1"}, "'revenues' must be a list of finite"),
+    ({"attractions": [1], "revenues": [10 ** 400]}, "'revenues' must be a list of finite"),
+    ({"attractions": [float("nan")], "revenues": [1]}, "'attractions' must be a list of finite"),
+])
+def test_model_field_of_the_wrong_type_is_one_error_line(tmp_path, capsys, payload, named):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    assert main(["plan", "--model", str(path), "--rho", "0.1"]) == 1
+    _one_error_line(capsys, named)
+
+
+def test_plan_without_eps_plans_to_the_revenue_scale(tmp_path, monkeypatch):
+    # plan_general probes eps/2 above its seed's value first, so the gap between
+    # the two shows the eps it plans to: 1e-5 * r_max = 0.01 here
+    seeds, levels = [], []
+    best_row, min_level_slack = planning._best_row, planning._min_level_slack
+
+    def seed_spy(*args):
+        items, value = best_row(*args)
+        seeds.append(value)
+        return items, value
+
+    def level_spy(fam, level, *args, **kwargs):
+        levels.append(level)
+        return min_level_slack(fam, level, *args, **kwargs)
+
+    monkeypatch.setattr(planning, "_best_row", seed_spy)
+    monkeypatch.setattr(planning, "_min_level_slack", level_spy)
+    path = tmp_path / "model.json"
+    save_model(MnlModel(attractions=np.array([1.0, 0.4, 2.0]),
+                        revenues=np.array([1000.0, 800.0, 300.0])), path)
+    assert main(["plan", "--model", str(path), "--rho", "0.1", "--k", "2",
+                 "--out", str(tmp_path / "plan.json")]) == 0
+    assert len(seeds) == 1 and levels
+    assert levels[0] - seeds[0] == pytest.approx(0.005, rel=1e-6)
 
 
 @pytest.mark.parametrize("name, text, where", [
@@ -299,3 +347,107 @@ def test_plan_on_a_subnormal_revenue_scale_is_one_error_line(tmp_path, capsys):
                                 "revenues": [1e-318, 5e-319, 8e-319, 2e-319]}))
     assert main(["plan", "--model", str(path), "--rho", "0.1", "--k", "2"]) == 1
     _one_error_line(capsys, "r_max")
+
+
+# --- malformed input files, generated --------------------------------------
+
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.just(10 ** 400),
+                     st.floats(), st.text(max_size=4))
+_JSON = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=8)
+_POSITIVE = st.floats(1e-4, 1e4) | st.integers(1, 4)
+_NUMBER = _POSITIVE | st.sampled_from(
+    [0, -1.0, 1e-300, 1e300, 10 ** 400, float("nan"), float("inf")])
+
+
+def _model_payload(pairs, fields) -> dict:
+    """Attractions and revenues of one length, with ``fields`` set over them."""
+    return {"attractions": [v for v, _ in pairs], "revenues": [r for _, r in pairs], **fields}
+
+
+_MODELS = st.one_of(_JSON, st.builds(
+    _model_payload, st.lists(st.tuples(_POSITIVE, _POSITIVE) | st.tuples(_NUMBER, _NUMBER),
+                             max_size=5),
+    st.dictionaries(st.sampled_from(("attractions", "revenues", "r_max")),
+                    _NUMBER | st.lists(_NUMBER, max_size=5) | _JSON, max_size=2)))
+_IDS = st.one_of(st.integers(-1, 4), st.integers(), st.floats(-1.0, 5.0), _SCALARS)
+_RECORDS = st.one_of(st.fixed_dictionaries(
+    {"assortment": st.lists(_IDS, max_size=3) | _JSON, "choice": _IDS | _JSON}), _JSON)
+_CSV_FIELDS = st.text(alphabet="0123;-. ,x\"", max_size=6)
+# every config holds one entry that no experiment setting accepts, so none runs;
+# `workers` is never drawn, and a text key of at most 6 characters cannot spell it
+_SETTINGS = sorted(f.name for f in ExperimentConfig.__dataclass_fields__.values()
+                   if f.name != "workers")
+_CONFIGS = st.builds(lambda extra, key, bad: {**extra, key: bad},
+                     st.dictionaries(st.sampled_from(_SETTINGS) | st.text(max_size=6), _JSON,
+                                     max_size=4),
+                     st.sampled_from(_SETTINGS),
+                     st.one_of(st.text(max_size=4), st.booleans(),
+                               st.dictionaries(st.text(max_size=3), _SCALARS, max_size=2)))
+
+
+def _not_a_config(data: bytes) -> bool:
+    try:
+        return not isinstance(json.loads(data), dict)
+    except ValueError:
+        return True
+
+
+def _json_file(payload) -> bytes:
+    return json.dumps(payload).encode()
+
+
+def _jsonl_file(records) -> bytes:
+    return "\n".join(map(json.dumps, records)).encode()
+
+
+def _csv_file(rows) -> bytes:
+    return "".join(f"{a},{b}\n" for a, b in [("assortment", "choice"), *rows]).encode()
+
+
+_FILES = st.one_of(
+    st.tuples(st.just("model.json"), _MODELS.map(_json_file) | st.binary(max_size=20)),
+    st.tuples(st.just("data.jsonl"),
+              st.lists(_RECORDS, max_size=4).map(_jsonl_file) | st.binary(max_size=20)),
+    st.tuples(st.just("data.csv"), st.lists(st.tuples(_CSV_FIELDS, _CSV_FIELDS), max_size=4)
+              .map(_csv_file) | st.binary(max_size=20)),
+    st.tuples(st.just("config.json"), _CONFIGS.map(_json_file)
+              | st.binary(max_size=20).filter(_not_a_config)),
+)
+
+
+def _argv(name: str, path: str, out: str, flag: str) -> list[str]:
+    if name == "model.json":
+        return ["plan", "--model", path, "--k", "2", flag, "0.05", "--out", out]
+    if name == "config.json":
+        return ["exp", "--name", flag, "--seed", "1", "--out", out, "--config", path]
+    return ["learn", "--data", path, "--k", "2", "--rho", "0.1", "--revenues", "1,0.5,0.2",
+            "--out", out]
+
+
+@settings(max_examples=300, deadline=None)
+@example(("model.json", b'{"attractions": {"a": 1}, "revenues": [1]}'), "--rho", "exp1")
+@example(("model.json", b'{"attractions": [1], "revenues": [1e300]}'), "--rho", "exp1")
+@example(("config.json", b'{"rho_grid": [1' + b"0" * 400 + b'], "k_grid": "x"}'),
+         "--rho", "exp1")
+@given(_FILES, st.sampled_from(("--rho", "--rho0")), st.sampled_from(EXPERIMENT_NAMES))
+def test_malformed_files_exit_with_one_error_line(file, flag, experiment):
+    """A model, dataset or config file of any content ends the run with exit 0, 1
+    or 2.  An exception that escapes ``main`` is what would print a traceback;
+    exit 1 prints exactly one ``error:`` line."""
+    name, data = file
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_bytes(data)
+        argv = _argv(name, str(path), str(Path(tmp) / "out"),
+                     experiment if name == "config.json" else flag)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert len(errors) == (code == 1)

@@ -449,6 +449,16 @@ def test_plan_caps_k_at_the_item_count(revenues):
     assert plan(m, 5, spec) == plan(m, 3, spec)
 
 
+@pytest.mark.parametrize("r_max", [1e-3, 1.0, 1e3])
+def test_plan_without_eps_is_plan_general_at_its_default_eps(r_max):
+    # the one default tolerance is relative: 1e-5 * r_max, whoever plans
+    m = MnlModel(attractions=np.array([1.0, 0.4, 2.0, 0.7]),
+                 revenues=r_max * np.array([1.0, 0.8, 0.3, 0.55]), r_max=r_max)
+    spec = ConstantRadius(0.1)
+    default = plan_general(m, 2, spec, eps=1e-5 * r_max)
+    assert plan(m, 2, spec) == plan_general(m, 2, spec) == default
+
+
 def test_plan_general_k_validation():
     m = MnlModel(attractions=np.ones(3), revenues=np.ones(3))
     with pytest.raises(ValueError):
