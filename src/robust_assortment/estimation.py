@@ -37,6 +37,8 @@ class OfflineDataset:
     Record i offered ``items[offsets[i]:offsets[i + 1]]``, in the order it was
     given, and chose ``choices[i]`` (0 means no purchase).  The three arrays
     are read-only int64; ``records`` rebuilds the (ids, choice) pairs on demand.
+    So the rank-breaking counts are a function of the dataset, and
+    ``rank_breaking`` keeps them here, one per catalogue size.
     """
 
     def __init__(self, records):
@@ -76,6 +78,7 @@ class OfflineDataset:
         self.offsets, self.items, self.choices = arrays = [np.asarray(a, np.int64) for a in arrays]
         for a in arrays:
             a.flags.writeable = False
+        self._counts: dict[int, RankBreakingCounts] = {}
 
     @property
     def records(self) -> list[tuple[tuple[int, ...], int]]:
@@ -325,23 +328,40 @@ def load_dataset(path) -> OfflineDataset:
 
 @dataclass(frozen=True)
 class RankBreakingCounts:
-    """Per-item pairwise-comparison counts from a single pass over the data."""
+    """Per-item pairwise-comparison counts from a single pass over the data.
+
+    The arrays are read-only: one dataset's counts are shared by every learner
+    that reads them.
+    """
 
     wins: np.ndarray        # times the item was chosen
     duels: np.ndarray       # times the choice was the item or nothing, item offered
     offered: np.ndarray     # times the item appeared in the offered assortment
     n: int
 
+    def __post_init__(self):
+        for a in (self.wins, self.duels, self.offered):
+            a.flags.writeable = False
+
 
 def rank_breaking(dataset, n_items: int) -> RankBreakingCounts:
     """Exact rank-breaking counts; validates every record.
 
+    An ``OfflineDataset`` is counted once per ``n_items`` and keeps its counts;
+    any other sequence of records is converted and counted on each call.
     Raises ``DataValidationError`` for the first record, in record order, that
     offers an id outside 1..n_items or a repeated id, or whose choice is
     neither 0 nor offered.
     """
     if not isinstance(dataset, OfflineDataset):
         dataset = OfflineDataset(dataset)
+    if n_items not in dataset._counts:
+        dataset._counts[n_items] = _count(dataset, n_items)
+    return dataset._counts[n_items]
+
+
+def _count(dataset: OfflineDataset, n_items: int) -> RankBreakingCounts:
+    """``rank_breaking`` of a dataset that has no counts for ``n_items`` yet."""
     offsets, items, choices = dataset.offsets, dataset.items, dataset.choices
     chosen, _, bad = _validated(offsets, items, n_items, choices)
     if bad is not None:

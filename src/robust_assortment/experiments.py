@@ -30,10 +30,10 @@ from .simulate import (
     instance_cardinality,
     instance_sample_efficiency,
     model_from_prior,
-    perturb_prior,
+    perturb_priors,
     prior_of,
     random_schedule,
-    shift_metrics,
+    shift_scores,
 )
 
 SCHEMA = "robust-assort/1"
@@ -259,25 +259,21 @@ def run_exp_robustness(cfg: ExperimentConfig) -> ResultTable:
     detail = []
     group_stats = {}
     for bucket_name, bucket in buckets:
-        models = []
-        for sample in range(cfg.perturbations_per_bucket):
-            sample_rng = cfg.rng_for("exp2", "perturb", bucket_name, sample)
-            shifted, kl = perturb_prior(model, bucket, sample_rng)
-            models.append((sample, shifted, kl))
+        # one stream per draw, all tilted in one batch: rows of shifted attractions
+        rngs = [cfg.rng_for("exp2", "perturb", bucket_name, sample)
+                for sample in range(cfg.perturbations_per_bucket)]
+        shifted, kls = perturb_priors(model, bucket, rngs)
         for family, grid in grids.items():
-            gains, bases, best_radii = shift_metrics(
-                learned[family], [m for _, m, _ in models], grid
-            )
-            for (sample, _, kl), gain, base, rho_star in zip(
-                models, gains, bases, best_radii
-            ):
+            gains, bases, best_radii = shift_scores(learned[family], model, shifted, grid)
+            for sample, (kl, gain, base, rho_star) in enumerate(
+                    zip(kls.tolist(), gains, bases, best_radii)):
                 rel = gain / base if base > 0.0 else math.nan
                 detail.append((sample, bucket_name, family, kl, gain, rel, rho_star))
             # a ratio of means: near-zero bases cannot dominate it as they do a
             # mean of per-draw ratios
             base_total = float(bases.sum())
             group_stats[family, bucket_name] = (
-                len(models), float(gains.mean()),
+                len(rngs), float(gains.mean()),
                 float(gains.sum()) / base_total if base_total > 0.0 else math.nan,
                 float(best_radii.mean()),
             )

@@ -16,6 +16,8 @@ V0 = 1.0
 LAMBDA_FLOOR = 1e-12
 #: Largest r_max: the dual kernel squares lambda, which reaches 1e12 * r_max.
 R_MAX_CEIL = 1e100
+#: The fields of a model file, as ``MnlModel.to_dict`` writes them.
+MODEL_FIELDS = ("attractions", "revenues", "r_max")
 
 
 def column_sums(x: np.ndarray) -> np.ndarray:
@@ -126,6 +128,10 @@ class MnlModel:
     def from_dict(cls, payload: dict) -> "MnlModel":
         if not isinstance(payload, dict):
             raise ModelFormatError("a model must be a JSON object")
+        unknown = sorted(set(payload) - set(MODEL_FIELDS))
+        if unknown:
+            raise ModelFormatError(f"unknown model field(s) {', '.join(map(repr, unknown))}; "
+                                   f"a model has {', '.join(MODEL_FIELDS)}")
         missing = [key for key in ("attractions", "revenues") if key not in payload]
         if missing:
             raise ModelFormatError(f"model has no {' or '.join(map(repr, missing))} field")
@@ -178,7 +184,7 @@ class ChoiceDistribution:
         object.__setattr__(self, "support", tuple(int(i) for i in self.support))
 
 
-def choice_columns(model: MnlModel, sets):
+def choice_columns(model: MnlModel, sets, attractions=None):
     """Conditional MNL choice columns of assortments, one per row of ``sets``.
 
     ``sets`` holds 1-based item ids in any order, padded with 0.  Returns
@@ -186,13 +192,19 @@ def choice_columns(model: MnlModel, sets):
     choice probabilities, no purchase in row 0 and then its items in ascending
     id order, zero-padded below; R holds the revenues aligned with P; and
     ``weights`` the sets' total attractions from ``set_weights``.
+
+    Given ``attractions``, an (s, n) stack of attraction vectors that stand in
+    for the model's, P and R have m * s columns: column i * s + j holds set i
+    under vector j, with the bits it has in a model of those attractions.
     """
-    support, P, weights = _support_columns(model, sets)
+    support, P, weights = _support_columns(model, sets, attractions)
     R = np.concatenate(([0.0], model.revenues, [0.0]))[support]
+    if attractions is not None:
+        R = np.repeat(R, len(attractions), axis=1)
     return P, R, weights
 
 
-def _support_columns(model: MnlModel, sets):
+def _support_columns(model: MnlModel, sets, attractions=None):
     """(support, P, weights) of ``choice_columns``: column i of ``support`` holds
     set i's S_+ ids, 0 first, then its items ascending, then n + 1 for padding."""
     ids = np.asarray(sets, dtype=np.intp)
@@ -202,7 +214,13 @@ def _support_columns(model: MnlModel, sets):
         ids = np.sort(np.where(ids > 0, ids, model.n_items + 1), axis=1)
     support = np.zeros((k + 1, m), dtype=np.intp)  # row 0: no purchase
     support[1:] = ids.T
-    P = np.concatenate(([V0], model.attractions, [0.0]))[support]
+    if attractions is None:
+        P = np.concatenate(([V0], model.attractions, [0.0]))[support]
+    else:  # row i of the table: id i under each vector, so P[r, i, j] is set i's row r under j
+        stack = np.asarray(attractions, dtype=float)
+        table = np.concatenate((np.full((1, len(stack)), V0), stack.T,
+                                np.zeros((1, len(stack)))))
+        P = table[support].reshape(k + 1, m * len(stack))
     weights = _totals(P)  # row 0 is V0: set_weights(P[1:]) without copying P
     P /= weights
     return support, P, weights

@@ -16,6 +16,8 @@ from .robust import _dual_batch, kl_divergence
 _TILT_SPAN, _REACH_MARGIN = 600.0, 1e-12
 #: Revenues within this share of r_max of the best tie for exp2's best radius.
 _TIE = 1e-12
+#: Shifted environments that shift_scores scores in one nominal_revenues call.
+_SCORE_ROWS = 1024
 #: Catalogue size of instance_cardinality.
 _CARDINALITY_ITEMS = 50
 
@@ -128,7 +130,14 @@ def instance_cardinality(k: int, n_effect: int, uniform: bool) -> tuple[MnlModel
 
 def prior_of(model: MnlModel) -> np.ndarray:
     """Prior over all choices (no purchase first) induced by the attractions."""
-    return np.concatenate(([1.0], model.attractions)) / (1.0 + model.v_tot)
+    return _priors(model.attractions[None])[0]
+
+
+def _priors(attractions: np.ndarray) -> np.ndarray:
+    """``prior_of`` of each row of a C-ordered stack of attraction vectors: numpy
+    sums a row of it as it sums the row alone."""
+    return np.concatenate((np.ones((len(attractions), 1)), attractions), axis=1) / (
+        1.0 + attractions.sum(axis=1, keepdims=True))
 
 
 def model_from_prior(prior: np.ndarray, revenues, r_max: float) -> MnlModel:
@@ -141,13 +150,28 @@ def perturb_prior(model: MnlModel, kl_bucket: tuple[float, float],
                   rng: np.random.Generator) -> tuple[MnlModel, float]:
     """Random perturbed environment whose prior shift lands in a KL bucket.
 
+    The one-generator case of ``perturb_priors``: returns the perturbed model
+    and the realized KL value.
+    """
+    attractions, kl = perturb_priors(model, kl_bucket, [rng])
+    return MnlModel(attractions[0], model.revenues, model.r_max), float(kl[0])
+
+
+def perturb_priors(model: MnlModel, kl_bucket: tuple[float, float],
+                   rngs) -> tuple[np.ndarray, np.ndarray]:
+    """Random perturbed environments whose prior shifts land in a KL bucket, one
+    per generator in ``rngs``.
+
     Tilts the prior p0 (no purchase first) along a Gaussian logit direction d
     to q ~ p0*exp(beta*d), with beta set by the dual kernel so that KL(q || p0)
     is a target drawn uniformly from ``kl_bucket = (lo, hi)`` below the
     direction's reach; a target below ``ZERO_RADIUS`` leaves p0 as it is.  A
     direction that cannot reach ``lo`` gives way to the tilt toward the least
     likely choice; a bucket beyond that tilt's reach raises before any draw.
-    Returns the perturbed model and the realized KL value.
+    Each generator draws its direction, then its target.  The directions are
+    reached and tilted in one batch, where each keeps the bits it has alone.
+    Returns the shifted attractions, one row per generator, which keep the
+    model's revenues and r_max, and the realized KL values.
     """
     lo, hi = float(kl_bucket[0]), float(kl_bucket[1])
     if not 0.0 <= lo < hi:
@@ -157,21 +181,38 @@ def perturb_prior(model: MnlModel, kl_bucket: tuple[float, float],
     top = _reach(p0, far)  # just below the KL of the least likely choice's point mass
     if top <= lo:
         raise RobustAssortmentError(f"KL bucket [{lo}, {hi}) is unreachable: shifts reach KL {top}")
-    d = rng.standard_normal(p0.size)
+    rngs = list(rngs)
+    d = np.array([rng.standard_normal(p0.size) for rng in rngs])
     reach = _reach(p0, d)
-    if reach <= lo:
-        d, reach = far, top
-    target = rng.uniform(lo, min(hi, reach))
+    short = reach <= lo
+    d[short], reach[short] = far, top
+    target = np.array([rng.uniform(lo, min(hi, r)) for rng, r in zip(rngs, reach.tolist())])
     # the kernel's worst-case tilt of revenues max d - d; p0 itself below ZERO_RADIUS
-    q = _dual_batch(p0[:, None], (d.max() - d)[:, None], np.array([target]), np.ptp(d))[2][:, 0]
-    perturbed = model_from_prior(q, model.revenues, model.r_max)
-    return perturbed, kl_divergence(prior_of(perturbed), p0)
+    tilt = _dual_batch(np.repeat(p0[:, None], len(rngs), axis=1), d.max(axis=1) - d.T, target,
+                       np.ptp(d, axis=1))[2]
+    q = np.ascontiguousarray(tilt.T)  # C order, which _priors needs
+    attractions = q[:, 1:] / q[:, :1]
+    return attractions, _kl_rows(_priors(attractions), p0)
 
 
-def _reach(p0: np.ndarray, d: np.ndarray) -> float:
-    """KL(q || p0) at the tilt beta*(max d - min d) = _TILT_SPAN, less _REACH_MARGIN."""
-    q = p0 * np.exp(_TILT_SPAN * (d - d.max()) / (d.max() - d.min()))
-    return kl_divergence(q / q.sum(), p0) * (1.0 - _REACH_MARGIN)
+def _reach(p0: np.ndarray, d: np.ndarray):
+    """KL(q || p0) at the tilt beta*(max d - min d) = _TILT_SPAN, less _REACH_MARGIN,
+    of a direction d, or an array of it for each row of a 2-D ``d``."""
+    rows = np.atleast_2d(d)
+    top, span = rows.max(axis=1, keepdims=True), np.ptp(rows, axis=1, keepdims=True)
+    q = p0 * np.exp(_TILT_SPAN * (rows - top) / span)
+    reach = _kl_rows(q / q.sum(axis=1, keepdims=True), p0) * (1.0 - _REACH_MARGIN)
+    return reach if np.ndim(d) == 2 else float(reach[0])
+
+
+def _kl_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``kl_divergence(row, p)`` of each row of ``q``, with its bits: numpy sums
+    a row of a C-ordered array as it sums the row alone."""
+    full = (q > 0.0).all(axis=1)
+    kl = np.empty(len(q))
+    kl[full] = (q[full] * np.log(q[full] / p)).sum(axis=1)
+    kl[~full] = [kl_divergence(row, p) for row in q[~full]]
+    return kl
 
 
 def random_schedule(n: int, n_items: int, rng: np.random.Generator) -> list[tuple[int, ...]]:
@@ -191,11 +232,25 @@ def random_schedule(n: int, n_items: int, rng: np.random.Generator) -> list[tupl
 
 def shift_metrics(assortments_by_rho: dict[float, tuple[int, ...]],
                   perturbed_models, rho_grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``shift_scores`` of each perturbed model in turn, under its own revenues
+    and r_max; one (gain, base, best radius) triple per model."""
+    models = list(perturbed_models)
+    scores = np.empty((3, len(models)))
+    for j, shifted in enumerate(models):
+        scores[:, j:j + 1] = shift_scores(assortments_by_rho, shifted, shifted.attractions[None],
+                                          rho_grid)
+    return scores[0], scores[1], scores[2]
+
+
+def shift_scores(assortments_by_rho: dict[float, tuple[int, ...]], model: MnlModel,
+                 attractions, rho_grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Robustness gains of radius-indexed assortments under shifted environments.
 
-    For each perturbed model, scores the nominal expected revenue of every
-    learned assortment in one ``nominal_revenues`` call (an empty one scores 0).
-    Returns per model the gain, the best improvement over the zero-radius
+    Each row of ``attractions`` is one shifted environment with ``model``'s
+    revenues and r_max.  One ``choice_columns`` and one ``nominal_revenues``
+    call score every learned assortment (an empty one scores 0) in a block of
+    up to ``_SCORE_ROWS`` environments, which bounds the memory.  Returns per
+    environment the gain, the best improvement over the zero-radius
     assortment; the base, that assortment's own revenue; and the best radius,
     the smallest radius whose revenue is within ``_TIE * r_max`` of the best,
     so that rounding does not decide it.
@@ -207,12 +262,12 @@ def shift_metrics(assortments_by_rho: dict[float, tuple[int, ...]],
     rows = np.zeros((len(grid), max(map(len, learned))), dtype=np.intp)
     for row, items in zip(rows, learned):
         row[:len(items)] = items
-    anchor = grid.index(0.0)
-    gains, bases, best_radii = [], [], []
-    for shifted in perturbed_models:
-        revenue = nominal_revenues(*choice_columns(shifted, rows)[:2])
-        best = revenue.max()
-        gains.append(best - revenue[anchor])
-        bases.append(revenue[anchor])
-        best_radii.append(grid[int(np.argmax(revenue >= best - _TIE * shifted.r_max))])
-    return np.array(gains), np.array(bases), np.array(best_radii)
+    # row j: environment j's revenue per radius
+    revenue = np.concatenate([
+        nominal_revenues(*choice_columns(model, rows, block)[:2]).reshape(len(grid), -1).T
+        for block in (attractions[start:start + _SCORE_ROWS]
+                      for start in range(0, len(attractions), _SCORE_ROWS))])
+    best = revenue.max(axis=1)
+    base = revenue[:, grid.index(0.0)]
+    tied = revenue >= (best - _TIE * model.r_max)[:, None]
+    return best - base, base, np.array(grid)[np.argmax(tied, axis=1)]

@@ -165,6 +165,14 @@ def test_model_field_of_the_wrong_type_is_one_error_line(tmp_path, capsys, paylo
     _one_error_line(capsys, named)
 
 
+def test_model_with_an_unknown_field_is_one_error_line(tmp_path, capsys):
+    # a misspelt r_max would otherwise plan at r_max = max(revenues)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"attractions": [1, 2], "revenues": [0.5, 0.2], "rmax": 1000}))
+    assert main(["plan", "--model", str(path), "--rho", "0.1"]) == 1
+    _one_error_line(capsys, "'rmax'")
+
+
 def test_plan_without_eps_plans_to_the_revenue_scale(tmp_path, monkeypatch):
     # plan_general probes eps/2 above its seed's value first, so the gap between
     # the two shows the eps it plans to: 1e-5 * r_max = 0.01 here

@@ -42,6 +42,37 @@ def test_rank_breaking_empty_dataset():
     assert np.all(counts.offered == 0)
 
 
+def test_rank_breaking_counts_are_read_only():
+    counts = rank_breaking(OfflineDataset([((1, 2), 1), ((2,), 0)]), 2)
+    for name in ("wins", "duels", "offered"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(counts, name)[0] = 7
+
+
+def test_rank_breaking_keeps_one_count_per_catalogue_size(rng):
+    m = MnlModel(attractions=np.linspace(0.2, 1.0, 15), revenues=np.ones(15))
+    ds = generate_dataset(m, [tuple(range(1, 16))] * 500, rng)
+    c15, c16 = rank_breaking(ds, 15), rank_breaking(ds, 16)
+    assert c15.wins.size == 15 and c16.wins.size == 16 and c16.wins[15] == 0
+    np.testing.assert_array_equal(c16.wins[:15], c15.wins)
+    assert rank_breaking(ds, 15) is c15 and rank_breaking(ds, 16) is c16
+
+
+def test_rank_breaking_counts_records_anew_and_caches_no_error(monkeypatch):
+    from robust_assortment import estimation
+    calls = []
+    count = estimation._count
+    monkeypatch.setattr(estimation, "_count", lambda *args: calls.append(1) or count(*args))
+    records = [((1, 2), 1), ((2,), 0)]
+    assert rank_breaking(records, 2) is not rank_breaking(records, 2)  # a list has no memo
+    assert len(calls) == 2
+    bad = OfflineDataset([((1, 2), 1), ((1, 2), 3)])
+    for _ in range(2):
+        with pytest.raises(DataValidationError, match="record 1"):
+            rank_breaking(bad, 3)
+    assert len(calls) == 4
+
+
 def test_rank_breaking_single_purchase_record():
     # item 2's duel count is untouched because the choice was neither 0 nor 2
     counts = rank_breaking(OfflineDataset([((1, 2), 1)]), 3)

@@ -105,11 +105,14 @@ def test_exp2_relative_gain_is_a_ratio_of_means(monkeypatch):
     from robust_assortment import experiments
     monkeypatch.setattr(experiments, "learn_robust_assortment",
                         lambda dataset, n, cfg: ((1,) if cfg.spec.is_zero else (2,), None))
+    # the shifts keep the nominal revenues, so the instance sets them
+    nominal = MnlModel(attractions=np.ones(3), revenues=np.array([1.0, 0.5, 0.2]), r_max=1.0)
+    monkeypatch.setattr(experiments, "_exp2_instance",
+                        lambda cfg: (nominal, math.log1p(1.0 / nominal.v_tot)))
     v1 = np.array([1e-12, 0.2, 0.4, 0.6])
     draws = itertools.cycle(v1.tolist())
-    monkeypatch.setattr(experiments, "perturb_prior", lambda model, bucket, rng: (
-        MnlModel(attractions=np.array([next(draws), 3.0, 1.0]),
-                 revenues=np.array([1.0, 0.5, 0.2]), r_max=1.0), bucket[0]))
+    monkeypatch.setattr(experiments, "perturb_priors", lambda model, bucket, rngs: (
+        np.array([[next(draws), 3.0, 1.0] for _ in rngs]), np.full(len(rngs), bucket[0])))
     cfg = default_config("exp2", seed=4, n_items_exp2=3, n_dataset_exp2=200,
                          perturbations_per_bucket=v1.size, rho_grid_exp2=(0.0, 0.5),
                          rho0_grid_exp2=(0.0,))

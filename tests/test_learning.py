@@ -160,3 +160,22 @@ def test_pessimism_beats_plugin_on_partial_coverage(rng):
             items, _ = learn_robust_assortment(ds, 15, cfg)
             gaps[name].append(suboptimality(m, spec, items, 3, 1e-6, star_value=star))
     assert np.mean(gaps["pessimistic"]) <= np.mean(gaps["plugin"])
+
+
+def test_learns_on_one_dataset_count_it_once(rng, monkeypatch):
+    # exp2 learns 22 radii on one dataset: one rank breaking, the sets of fresh datasets
+    from robust_assortment import estimation
+    m = MnlModel(attractions=np.array([0.8, 1.4, 0.3, 2.0, 0.6, 1.0]),
+                 revenues=np.array([1.0, 0.4, 0.9, 0.2, 0.7, 0.5]), r_max=1.0)
+    ds = _full_coverage_dataset(m, 3000, rng)
+    specs = [ConstantRadius(0.05 * i) for i in range(11)]
+    specs += [VaryingRadius(0.01 * i, m.v_tot) for i in range(11)]
+    cfgs = [LearnConfig(k=3, delta=0.05, spec=spec, revenues=tuple(m.revenues)) for spec in specs]
+    fresh = [learn_robust_assortment(OfflineDataset.from_arrays(ds.offsets, ds.items, ds.choices),
+                                     6, cfg)[0] for cfg in cfgs]
+    calls = []
+    count = estimation._count
+    monkeypatch.setattr(estimation, "_count", lambda *args: calls.append(1) or count(*args))
+    shared = [learn_robust_assortment(ds, 6, cfg)[0] for cfg in cfgs]
+    assert len(calls) == 1
+    assert shared == fresh

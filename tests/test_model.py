@@ -167,6 +167,14 @@ def test_model_payload_without_field_names_it():
         MnlModel.from_dict([1.0, 2.0])
 
 
+def test_model_payload_with_unknown_fields_names_them():
+    payload = {"attractions": [1.0], "revenues": [0.5], "rmax": 2.0, "Revenues": [1.0]}
+    with pytest.raises(ModelFormatError, match="'Revenues', 'rmax'"):
+        MnlModel.from_dict(payload)
+    model = MnlModel(attractions=np.array([1.0, 2.0]), revenues=np.array([0.5, 0.2]), r_max=3.0)
+    assert MnlModel.from_dict(model.to_dict()).to_dict() == model.to_dict()
+
+
 def test_overflow_guard():
     m = MnlModel(attractions=np.array([1e308, 1e308]), revenues=np.array([1.0, 1.0]))
     with pytest.raises(NumericRangeError):

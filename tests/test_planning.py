@@ -576,6 +576,10 @@ def _reference_min_level_slack(fam, t, k, counter, stop_below=None):
     for right in grid:
         mid = 0.5 * (prev + right)
         gm = fam.curves(idx, t, mid)[0]
+        if t == 0.0:
+            # each curve falls to its lam -> 0+ limit, -v where r > 0, which is the one
+            # that matters at t == 0; at mid a subnormal r underflows the curve to 0
+            gm = np.where(fam.r[idx] > 0.0, -fam.v[idx], fam.v[idx] * math.expm1(fam.shift))
         counter.n += 1
         order = np.lexsort((idx, gm))
         chosen = [j for j in order if gm[j] < 0.0][:k]
@@ -682,6 +686,11 @@ def _check_slack_contract(fam, t, k, stop_below):
 @example(case=(MnlModel(attractions=np.array([1.0, 0.1]), revenues=np.array([0.0, 5e-324]),
                         r_max=1.0), ConstantRadius(1.0), 1),
          level=0.0, stop_below=None)
+# the same revenue under the varying rule, down to the target: the reference's midpoint
+# selection read the curve, underflowed to 0, as not negative and never took the item
+@example(case=(MnlModel(attractions=np.array([1.0, 1.0]), revenues=np.array([0.0, 5e-324]),
+                        r_max=1.0), VaryingRadius(0.2027325540540822, 2.0), 1),
+         level=0.0, stop_below="target")
 def test_bulk_screen_matches_the_reference_loop(case, level, stop_below):
     model, spec, k = case
     fam = _CurveFamily(model.attractions, model.revenues, model.r_max, spec)

@@ -15,6 +15,7 @@ from robust_assortment import (
     instance_cardinality,
     instance_sample_efficiency,
     kl_divergence,
+    nominal_expected_revenue,
     perturb_prior,
     plan,
     random_schedule,
@@ -22,7 +23,8 @@ from robust_assortment import (
     shift_metrics,
 )
 from robust_assortment.model import choice_columns
-from robust_assortment.simulate import _reach, model_from_prior, prior_of
+from robust_assortment.simulate import (_SCORE_ROWS, _reach, model_from_prior, perturb_priors,
+                                        prior_of, shift_scores)
 
 from conftest import choice_probs
 
@@ -257,17 +259,19 @@ def test_perturb_prior_lands_in_bucket(log_attractions, lo_share, width, seed):
     assert abs(kl - target) <= 1e-8 * target
 
 
+class _ZeroTarget:
+    """A generator stand-in whose target is the bucket's low end."""
+
+    def standard_normal(self, size):
+        return np.linspace(-1.0, 1.0, size)
+
+    def uniform(self, low, high):
+        return low
+
+
 def test_perturb_prior_zero_target_returns_the_nominal_model():
     m = MnlModel(attractions=np.array([0.5, 1.5, 1.0]), revenues=np.ones(3))
-
-    class ZeroTarget:
-        def standard_normal(self, size):
-            return np.linspace(-1.0, 1.0, size)
-
-        def uniform(self, low, high):
-            return low
-
-    shifted, kl = perturb_prior(m, (0.0, 1.0), ZeroTarget())
+    shifted, kl = perturb_prior(m, (0.0, 1.0), _ZeroTarget())
     np.testing.assert_allclose(shifted.attractions, m.attractions, rtol=1e-15)
     assert kl == pytest.approx(0.0, abs=1e-15)
 
@@ -281,6 +285,45 @@ def test_perturb_prior_unreachable_bucket_draws_nothing():
     assert rng.bit_generator.state == state
     _, kl = perturb_prior(m, (0.99 * math.log(3.0), math.inf), rng)
     assert 0.99 * math.log(3.0) <= kl < math.log(3.0)
+
+
+@pytest.mark.parametrize("bucket", [(0.0, 1.0), (1.0, math.inf)])
+def test_perturb_priors_draws_the_bits_of_perturb_prior(bucket):
+    # the most likely choice, no purchase, cannot take KL 1: a direction toward it
+    # falls back to the least likely choice's
+    m = MnlModel(attractions=np.geomspace(1e-3, 0.1, 20), revenues=np.ones(20))
+    rngs = [np.random.default_rng(seed) for seed in range(60)] + [_ZeroTarget()]
+    attractions, kls = perturb_priors(m, bucket, rngs)
+    p0 = prior_of(m)
+    far = 0
+    for seed, row, kl in zip(range(61), attractions, kls):
+        rng = np.random.default_rng(seed) if seed < 60 else _ZeroTarget()
+        shifted, one_kl = perturb_prior(m, bucket, rng)
+        np.testing.assert_array_equal(row, shifted.attractions)
+        assert kl == one_kl
+        if seed < 60:
+            far += _reach(p0, np.random.default_rng(seed).standard_normal(p0.size)) <= bucket[0]
+    assert (far > 0) == (bucket[0] > 0.0)
+    if bucket[0] == 0.0:  # the stand-in's zero target leaves the prior as it is
+        np.testing.assert_allclose(attractions[-1], m.attractions, rtol=1e-15)
+
+
+def test_shift_scores_are_the_bits_of_shift_metrics():
+    m = MnlModel(attractions=np.array([1.0, 0.7, 0.2, 0.05]),
+                 revenues=np.array([1.0, 0.5, 0.9, 0.3]), r_max=1.0)
+    learned = {0.0: (1, 2, 3, 4), 0.5: (1, 3), 1.0: (1,), 2.0: ()}
+    rngs = [np.random.default_rng(seed) for seed in range(_SCORE_ROWS + 76)]
+    attractions, _ = perturb_priors(m, (0.0, 1.0), rngs)
+    batch = shift_scores(learned, m, attractions, list(learned))
+    models = [MnlModel(row, m.revenues, m.r_max) for row in attractions]
+    one_by_one = [shift_metrics(learned, [shifted], list(learned)) for shifted in models]
+    for got, want in zip(batch, zip(*one_by_one)):
+        np.testing.assert_array_equal(got, np.concatenate(want))
+    for got, want in zip(batch, shift_metrics(learned, models, list(learned))):
+        np.testing.assert_array_equal(got, want)
+    # the base is the zero-radius set's revenue, scored alone in its own model
+    assert batch[1].tolist() == [nominal_expected_revenue(shifted, learned[0.0])
+                                 for shifted in models]
 
 
 def test_generate_dataset_draw_at_top_of_unit_interval():
