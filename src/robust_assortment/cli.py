@@ -72,6 +72,7 @@ def _cmd_learn(args) -> int:
     n_items = args.n_items if args.n_items is not None else len(revenues)
     cfg = LearnConfig(
         k=args.k, delta=args.delta, spec=spec, revenues=revenues,
+        r_max=None if model is None else model.r_max,
         eps_plan=args.eps, pessimism=not args.baseline,
     )
     items, diag = learn_robust_assortment(dataset, n_items, cfg)

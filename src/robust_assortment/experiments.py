@@ -2,9 +2,9 @@
 
 Each experiment writes one detail CSV and one summary CSV.  Replication
 streams are derived from (seed, experiment, cell, replication) so results are
-byte-identical across reruns and independent of worker scheduling; the only
-non-deterministic output line is the generated-at header comment, which
-consumers are expected to ignore when comparing files.
+byte-identical across reruns; the only non-deterministic output line is the
+generated-at header comment, which consumers are expected to ignore when
+comparing files.
 """
 from __future__ import annotations
 
@@ -13,14 +13,13 @@ import datetime
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .base import ConfigError
-from .estimation import point_and_lcb, rank_breaking
+from .estimation import point_and_lcb
 from .learning import LearnConfig, _plan_on_estimate, learn_robust_assortment, suboptimality
 from .model import MnlModel, nominal_expected_revenue
 from .planning import plan, plan_unconstrained
@@ -33,6 +32,7 @@ from .simulate import (
     perturb_priors,
     prior_of,
     random_schedule,
+    sample_counts,
     shift_scores,
 )
 
@@ -63,7 +63,6 @@ class ExperimentConfig:
     delta: float = None  # type: ignore[assignment]  # default 0.1/N at use site
     eps_plan: float | None = None
     out_dir: str = "."
-    workers: int | None = None
 
     def __post_init__(self):
         def check(key, ok, what):
@@ -101,7 +100,6 @@ class ExperimentConfig:
         check("eps_plan", lambda x: x is None or radius(x) and x > 0.0,
               "null or a finite positive number")
         check("out_dir", lambda x: isinstance(x, (str, os.PathLike)), "a path")
-        check("workers", lambda x: x is None or count(x), "null or a positive integer")
 
     def rng_for(self, *path) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence((self.seed, hash_path(path))))
@@ -157,13 +155,6 @@ class ResultTable:
         return written
 
 
-def _map_tasks(fn, tasks: list, workers: int) -> list:
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
-
-
 def _spec(family: str, rho: float, model: MnlModel):
     """The constant radius ``rho``, or the varying radius of budget ``rho`` over ``model``."""
     return ConstantRadius(rho) if family == "constant" else VaryingRadius(rho, model.v_tot)
@@ -173,23 +164,21 @@ def _spec(family: str, rho: float, model: MnlModel):
 # Experiment 1: sample efficiency of double pessimism vs the plug-in baseline
 # ---------------------------------------------------------------------------
 
-def _exp1_cell(task) -> list[tuple]:
-    cfg, family, rho, star, n, rep = task
+def _exp1_cell(cfg: ExperimentConfig, family: str, rho: float, star: float, n: int,
+               rep: int) -> list[tuple]:
     model, schedule_factory = instance_sample_efficiency()
     spec = _spec(family, rho, model)
     delta = cfg.delta if cfg.delta is not None else 0.1 / model.n_items
     rng = cfg.rng_for("exp1", family, rho, n, rep)
-    schedule = schedule_factory(n, rng)
-    dataset = generate_dataset(model, schedule, rng)
-    counts = rank_breaking(dataset, model.n_items)
-    estimate = point_and_lcb(counts, delta)
+    sets = schedule_factory.sets  # equally likely: draw how often each is offered, then choices
+    multiplicities = rng.multinomial(n, [1.0 / len(sets)] * len(sets))
+    estimate = point_and_lcb(sample_counts(model, sets, multiplicities, rng), delta)
+    learn_cfg = LearnConfig(
+        k=3, delta=delta, spec=spec, revenues=tuple(model.revenues),
+        r_max=model.r_max, eps_plan=cfg.eps_plan,
+    )
     rows = []
-    for method, pessimism in (("pessimistic", True), ("plugin", False)):
-        learn_cfg = LearnConfig(
-            k=3, delta=delta, spec=spec, revenues=tuple(model.revenues),
-            r_max=model.r_max, eps_plan=cfg.eps_plan, pessimism=pessimism,
-        )
-        v_used = estimate.v_lcb if pessimism else estimate.v_hat
+    for method, v_used in (("pessimistic", estimate.v_lcb), ("plugin", estimate.v_hat)):
         items, _ = _plan_on_estimate(np.asarray(v_used, dtype=float), learn_cfg)
         gap = suboptimality(model, spec, items, 3, star_value=star)
         rows.append((method, family, rho, n, rep, gap))
@@ -199,15 +188,13 @@ def _exp1_cell(task) -> list[tuple]:
 def run_exp_sample_efficiency(cfg: ExperimentConfig) -> ResultTable:
     """Suboptimality of the pessimistic learner vs the plug-in baseline."""
     model, _ = instance_sample_efficiency()
-    tasks = []
+    detail = []
     for family, grid in (("constant", cfg.rho_grid), ("varying", cfg.rho0_grid)):
         for rho in grid:
             star = plan(model, 3, _spec(family, rho, model)).value  # one optimum per radius
             for n in cfg.n_grid:
                 for rep in range(cfg.replications):
-                    tasks.append((cfg, family, rho, star, n, rep))
-    chunks = _map_tasks(_exp1_cell, tasks, cfg.workers or 1)
-    detail = [row for chunk in chunks for row in chunk]
+                    detail += _exp1_cell(cfg, family, rho, star, n, rep)
     summary = _summarize(detail, key=lambda r: (r[0], r[1], r[2], r[3]), value_index=5)
     return ResultTable(
         detail_columns=("method", "family", "rho", "n", "replication", "suboptimality"),
@@ -293,41 +280,32 @@ def run_exp_robustness(cfg: ExperimentConfig) -> ResultTable:
 # Experiment 3: cardinality constraints and the learning rate
 # ---------------------------------------------------------------------------
 
-def _exp3_instance(cfg: ExperimentConfig, mode: str, family: str, k: int):
-    """(model, schedule, spec) of one exp3 cell."""
+def _exp3_cell(cfg: ExperimentConfig, mode: str, family: str, k: int) -> list[tuple]:
+    """Detail rows of one exp3 cell, one per replication."""
     model, schedule = instance_cardinality(k, cfg.n_effect, mode == "uniform")
     spec = _spec(family, cfg.rho_exp3 if family == "constant" else cfg.rho0_exp3, model)
-    return model, schedule, spec
-
-
-def _exp3_cell(task) -> list[tuple]:
-    cfg, mode, family, k, star, rep = task
-    model, schedule, spec = _exp3_instance(cfg, mode, family, k)
+    star = plan(model, k, spec, eps=cfg.eps_plan).value  # one optimum per cell
     # per-item budget without the 1/N union scaling: these instances pin the
     # per-item duel counts near n_effect, where a scaled budget floors every
     # lower confidence bound at zero and nothing can be learned
     delta = cfg.delta if cfg.delta is not None else 0.1
-    rng = cfg.rng_for("exp3", mode, family, k, rep)
-    dataset = generate_dataset(model, schedule, rng)
     learn_cfg = LearnConfig(k=k, delta=delta, spec=spec, revenues=tuple(model.revenues),
                             r_max=model.r_max, eps_plan=cfg.eps_plan)
-    items, _ = learn_robust_assortment(dataset, model.n_items, learn_cfg)
-    gap = suboptimality(model, spec, items, k, star_value=star)
-    return [(mode, family, k, rep, gap)]
+    rows = []
+    for rep in range(cfg.replications):
+        dataset = generate_dataset(model, schedule, cfg.rng_for("exp3", mode, family, k, rep))
+        items, _ = learn_robust_assortment(dataset, model.n_items, learn_cfg)
+        rows.append((mode, family, k, rep, suboptimality(model, spec, items, k, star_value=star)))
+    return rows
 
 
 def run_exp_cardinality(cfg: ExperimentConfig) -> ResultTable:
     """Log-log slope of mean suboptimality against the cardinality cap."""
-    tasks = []
+    detail = []
     for mode in ("uniform", "nonuniform"):
         for family in ("constant", "varying"):
             for k in cfg.k_grid:
-                model, _, spec = _exp3_instance(cfg, mode, family, k)
-                star = plan(model, k, spec, eps=cfg.eps_plan).value  # one optimum per cell
-                for rep in range(cfg.replications):
-                    tasks.append((cfg, mode, family, k, star, rep))
-    chunks = _map_tasks(_exp3_cell, tasks, cfg.workers or 1)
-    detail = [row for chunk in chunks for row in chunk]
+                detail += _exp3_cell(cfg, mode, family, k)
     means = _summarize(detail, key=lambda r: (r[0], r[1], r[2]), value_index=4)
     slopes = {}
     for mode in ("uniform", "nonuniform"):

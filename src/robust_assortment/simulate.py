@@ -6,8 +6,10 @@ import math
 import numpy as np
 
 from .base import RobustAssortmentError
-from .estimation import OfflineDataset, _csr, _validated, point_and_lcb, rank_breaking
-from .model import MnlModel, _draw_choices, as_assortment, choice_columns, nominal_revenues
+from .estimation import (OfflineDataset, RankBreakingCounts, _csr, _validated, point_and_lcb,
+                         rank_breaking)
+from .model import (MnlModel, _draw_choices, _support_columns, as_assortment, choice_columns,
+                    nominal_revenues)
 from .robust import _dual_batch, kl_divergence
 
 #: A prior shift tilts by at most beta*(max d - min d) = _TILT_SPAN, so no probability
@@ -48,6 +50,27 @@ def generate_dataset(model: MnlModel, schedule, rng: np.random.Generator) -> Off
     return OfflineDataset.from_arrays(offsets, items, choices)
 
 
+def sample_counts(model: MnlModel, sets, multiplicities,
+                  rng: np.random.Generator) -> RankBreakingCounts:
+    """Rank-breaking counts of a dataset that offers row i of ``sets``, a valid
+    assortment padded with 0 as ``choice_columns`` takes it, ``multiplicities[i]``
+    times, in the law of ``rank_breaking(generate_dataset(...))`` but without a
+    record: set i's choices are one ``rng.multinomial`` draw over its S_+, in row order."""
+    support, P, _ = _support_columns(model, sets)
+    offers = np.asarray(multiplicities, dtype=np.int64)
+    chosen = np.zeros(P.shape, dtype=np.int64)  # entry (r, i): set i's picks of support row r
+    for i, size in enumerate((support <= model.n_items).sum(axis=0).tolist()):  # padding last
+        chosen[:size, i] = rng.multinomial(offers[i], P[:size, i])
+
+    def per_item(weights):  # slot i: item i, after no purchase (0), before padding (n + 1)
+        return np.bincount(support.ravel(), np.broadcast_to(weights, P.shape).ravel(),
+                           model.n_items + 2)[1:-1].astype(np.int64)
+
+    # a duel: the item or no purchase (row 0) chosen while the item is offered
+    return RankBreakingCounts(wins=per_item(chosen), duels=per_item(chosen + chosen[0]),
+                              offered=per_item(offers), n=int(offers.sum()))
+
+
 def lcb_validity_rate(model: MnlModel, schedule, n: int, delta: float,
                       replications: int, rng: np.random.Generator) -> float:
     """Monte-Carlo frequency of the event {v_lcb <= v for every item}.
@@ -71,7 +94,8 @@ def instance_sample_efficiency() -> tuple[MnlModel, callable]:
     triple under either radius rule.  The schedule factory replaces one
     uniformly chosen optimal item with a uniformly chosen outside item,
     independently per record, so the optimum never appears whole; its
-    ``(n, rng)`` call returns the n sorted assortments as an (n, 3) int64 array.
+    ``(n, rng)`` call returns the n sorted assortments as an (n, 3) int64 array,
+    each a row of its ``sets`` attribute: the 36 distinct ones, equally likely.
     """
     n_items, k, eps = 15, 3, 0.01
     v = np.full(n_items, 1.0 / k)
@@ -79,19 +103,18 @@ def instance_sample_efficiency() -> tuple[MnlModel, callable]:
     model = MnlModel(attractions=v, revenues=np.ones(n_items), r_max=1.0)
     star = np.arange(1, k + 1)
     outside = np.arange(k + 1, n_items + 1)
-    # row d: the star ids but d + 1, in order, then a slot for the outside id,
-    # which exceeds every star id, so each row comes out sorted
-    kept = np.array([[*np.delete(star, d), 0] for d in range(k)])
+    # row d * outside.size + j: the star ids but d + 1, in order, then outside id j,
+    # which exceeds every star id, so each row is sorted
+    kept = [np.delete(star, d) for d in range(k)]
+    sets = np.column_stack((np.repeat(kept, outside.size, axis=0), np.tile(outside, k)))
 
     def schedule_factory(n: int, rng: np.random.Generator) -> np.ndarray:
         if n < 0:
             raise ValueError(f"n must be a nonnegative record count, got {n}")
         drop = rng.integers(0, k, size=n)
-        sub = outside[rng.integers(0, outside.size, size=n)]
-        rows = np.take(kept, drop, axis=0)
-        rows[:, -1] = sub
-        return rows
+        return np.take(sets, drop * outside.size + rng.integers(0, outside.size, size=n), axis=0)
 
+    schedule_factory.sets = sets
     return model, schedule_factory
 
 
@@ -178,7 +201,7 @@ def perturb_priors(model: MnlModel, kl_bucket: tuple[float, float],
         raise ValueError("kl_bucket must be an interval (lo, hi) with 0 <= lo < hi")
     p0 = prior_of(model)
     far = (np.arange(p0.size) == np.argmin(p0)).astype(float)
-    top = _reach(p0, far)  # just below the KL of the least likely choice's point mass
+    top = float(_reach(p0, far[None])[0])  # just below the KL of the rarest choice's point mass
     if top <= lo:
         raise RobustAssortmentError(f"KL bucket [{lo}, {hi}) is unreachable: shifts reach KL {top}")
     rngs = list(rngs)
@@ -195,14 +218,12 @@ def perturb_priors(model: MnlModel, kl_bucket: tuple[float, float],
     return attractions, _kl_rows(_priors(attractions), p0)
 
 
-def _reach(p0: np.ndarray, d: np.ndarray):
+def _reach(p0: np.ndarray, d: np.ndarray) -> np.ndarray:
     """KL(q || p0) at the tilt beta*(max d - min d) = _TILT_SPAN, less _REACH_MARGIN,
-    of a direction d, or an array of it for each row of a 2-D ``d``."""
-    rows = np.atleast_2d(d)
-    top, span = rows.max(axis=1, keepdims=True), np.ptp(rows, axis=1, keepdims=True)
-    q = p0 * np.exp(_TILT_SPAN * (rows - top) / span)
-    reach = _kl_rows(q / q.sum(axis=1, keepdims=True), p0) * (1.0 - _REACH_MARGIN)
-    return reach if np.ndim(d) == 2 else float(reach[0])
+    of each direction d, a row of ``d``."""
+    top, span = d.max(axis=1, keepdims=True), np.ptp(d, axis=1, keepdims=True)
+    q = p0 * np.exp(_TILT_SPAN * (d - top) / span)
+    return _kl_rows(q / q.sum(axis=1, keepdims=True), p0) * (1.0 - _REACH_MARGIN)
 
 
 def _kl_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:

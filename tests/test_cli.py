@@ -220,6 +220,7 @@ def test_dataset_line_errors_name_the_file_line(tmp_path, capsys, name, text, wh
 @pytest.mark.parametrize("config, named", [
     ({"replications": 1, "n_efect": 5, "k_gird": [2]}, "k_gird, n_efect"),
     ({"seed": 3}, "seed"),
+    ({"workers": 2}, "workers"),  # a key that configs of earlier versions set
 ])
 def test_exp_config_errors_are_typed(tmp_path, capsys, config, named):
     cfg = tmp_path / "cfg.json"
@@ -260,6 +261,27 @@ def test_learn_takes_revenues_from_the_model(model_path, tmp_path):
     assert main(common + ["--revenues", "1.0,0.8,0.3", "--out", str(given)]) == 0
     assert from_model.read_bytes() == given.read_bytes()
     assert len(_read_json(from_model)["v_lcb"]) == 3
+
+
+def test_learn_plans_at_the_model_r_max(tmp_path, monkeypatch):
+    # the model's r_max, not its largest revenue 0.5, sets the planning scale and
+    # so the default eps of 1e-5 r_max
+    r_maxes, plan_general = [], planning.plan_general
+
+    def spy(model, *args, **kwargs):
+        r_maxes.append(model.r_max)
+        return plan_general(model, *args, **kwargs)
+
+    monkeypatch.setattr(planning, "plan_general", spy)
+    model = tmp_path / "m.json"
+    save_model(MnlModel(attractions=np.ones(3), revenues=np.array([0.5, 0.2, 0.4]),
+                        r_max=1000.0), model)
+    data = tmp_path / "d.jsonl"
+    data.write_text("".join(json.dumps({"assortment": [1, 2, 3], "choice": c}) + "\n"
+                            for c in [0, 1, 2, 3, 1, 3, 3, 0, 1, 2] * 20))
+    assert main(["learn", "--data", str(data), "--k", "2", "--rho", "0.1", "--model", str(model),
+                 "--out", str(tmp_path / "learned.json")]) == 0
+    assert r_maxes == [1000.0]
 
 
 def test_exp_config_list_is_one_error_line(tmp_path, capsys):
@@ -382,10 +404,8 @@ _IDS = st.one_of(st.integers(-1, 4), st.integers(), st.floats(-1.0, 5.0), _SCALA
 _RECORDS = st.one_of(st.fixed_dictionaries(
     {"assortment": st.lists(_IDS, max_size=3) | _JSON, "choice": _IDS | _JSON}), _JSON)
 _CSV_FIELDS = st.text(alphabet="0123;-. ,x\"", max_size=6)
-# every config holds one entry that no experiment setting accepts, so none runs;
-# `workers` is never drawn, and a text key of at most 6 characters cannot spell it
-_SETTINGS = sorted(f.name for f in ExperimentConfig.__dataclass_fields__.values()
-                   if f.name != "workers")
+# every config holds one entry that no experiment setting accepts, so none runs
+_SETTINGS = sorted(ExperimentConfig.__dataclass_fields__)
 _CONFIGS = st.builds(lambda extra, key, bad: {**extra, key: bad},
                      st.dictionaries(st.sampled_from(_SETTINGS) | st.text(max_size=6), _JSON,
                                      max_size=4),

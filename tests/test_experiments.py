@@ -19,7 +19,6 @@ from robust_assortment.experiments import (
     run_exp_cardinality,
     run_exp_robustness,
     run_exp_sample_efficiency,
-    run_experiment,
     run_fig1_demo,
 )
 from robust_assortment.planning import _CurveFamily
@@ -41,19 +40,6 @@ def test_summary_rows_match_detail_aggregates():
         vals = [r[5] for r in table1.detail_rows if r[:4] == (method, family, rho, n)]
         assert count == len(vals)
         assert mean == pytest.approx(float(np.mean(vals)), abs=1e-15)
-
-
-def test_worker_pool_matches_serial(tmp_path):
-    serial = default_config("exp3", seed=19, replications=2, k_grid=(2,), n_effect=30,
-                            workers=1, out_dir=str(tmp_path / "serial"))
-    pooled = default_config("exp3", seed=19, replications=2, k_grid=(2,), n_effect=30,
-                            workers=2, out_dir=str(tmp_path / "pooled"))
-    paths_serial = run_experiment(serial)
-    paths_pooled = run_experiment(pooled)
-    for a, b in zip(paths_serial, paths_pooled):
-        la = [l for l in open(a).read().splitlines() if not l.startswith("# generated")]
-        lb = [l for l in open(b).read().splitlines() if not l.startswith("# generated")]
-        assert la == lb
 
 
 def test_boosted_instance_bruteforce_recovers_boosted_triple():

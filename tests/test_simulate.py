@@ -24,7 +24,7 @@ from robust_assortment import (
 )
 from robust_assortment.model import choice_columns
 from robust_assortment.simulate import (_SCORE_ROWS, _reach, model_from_prior, perturb_priors,
-                                        prior_of, shift_scores)
+                                        prior_of, sample_counts, shift_scores)
 
 from conftest import choice_probs
 
@@ -66,6 +66,98 @@ def test_instance_sample_efficiency_schedule_rows(rng):
                 for d, s in zip(drop.tolist(), sub.tolist())]
     assert [tuple(row) for row in rows.tolist()] == expected
     assert ref.bit_generator.state == rng.bit_generator.state
+
+
+def test_instance_sample_efficiency_sets_are_its_schedule_rows(rng):
+    _, factory = instance_sample_efficiency()
+    assert factory.sets.dtype == np.int64 and factory.sets.shape == (36, 3)
+    assert len(np.unique(factory.sets, axis=0)) == 36
+    rows = factory(3000, rng)
+    match = (rows[:, None, :] == factory.sets[None]).all(axis=2)
+    assert np.all(match.sum(axis=1) == 1) and np.all(match.any(axis=0))
+
+
+def _distinct(schedule) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a schedule array and how often each appears."""
+    return np.unique(schedule, axis=0, return_counts=True)
+
+
+def _exp1_case():
+    model, factory = instance_sample_efficiency()
+    return model, factory.sets, np.random.default_rng(11).multinomial(3000, [1 / 36] * 36)
+
+
+#: (model, sets, multiplicities): exp1's sets, exp3's instances, and attractions
+#: from 1e-4 to 1e4 over sets of mixed sizes, padded with 0
+_COUNT_CASES = [
+    _exp1_case(),
+    (instance_cardinality(4, 200, uniform=True)[0],
+     *_distinct(instance_cardinality(4, 200, uniform=True)[1])),
+    (instance_cardinality(6, 200, uniform=False)[0],
+     *_distinct(instance_cardinality(6, 200, uniform=False)[1])),
+    (MnlModel(attractions=np.geomspace(1e-4, 1e4, 6), revenues=np.ones(6)),
+     np.array([[1, 6, 0], [2, 3, 4], [5, 0, 0], [1, 2, 6], [3, 1, 5]]),
+     np.array([40, 120, 70, 90, 60])),
+]
+
+
+def _records(sets, multiplicities) -> list[tuple[int, ...]]:
+    """The schedule that offers each set, without its padding, as often as it says."""
+    return [tuple(row[row > 0].tolist()) for row, m in zip(sets, multiplicities)
+            for _ in range(m)]
+
+
+@pytest.mark.parametrize("case", range(len(_COUNT_CASES)))
+def test_sample_counts_offer_what_the_records_path_offers(case):
+    model, sets, multiplicities = _COUNT_CASES[case]
+    drawn = sample_counts(model, sets, multiplicities, np.random.default_rng(5))
+    counted = rank_breaking(generate_dataset(model, _records(sets, multiplicities),
+                                             np.random.default_rng(5)), model.n_items)
+    np.testing.assert_array_equal(drawn.offered, counted.offered)
+    assert drawn.n == counted.n == multiplicities.sum()
+    for name in ("wins", "duels", "offered"):
+        assert getattr(drawn, name).dtype == getattr(counted, name).dtype
+    assert np.all(drawn.wins <= drawn.duels) and np.all(drawn.duels <= drawn.offered)
+    assert drawn.wins.sum() <= drawn.n
+
+
+@pytest.mark.parametrize("case", range(len(_COUNT_CASES)))
+def test_sample_counts_follow_the_law_of_the_records_path(case):
+    # the mean and variance of every win and duel count, over 400 seeds a side
+    model, sets, multiplicities = _COUNT_CASES[case]
+    schedule, seeds = _records(sets, multiplicities), 400
+
+    def wins_and_duels(counts):
+        return np.concatenate((counts.wins, counts.duels))
+
+    records = np.array([wins_and_duels(rank_breaking(generate_dataset(
+        model, schedule, np.random.default_rng(seed)), model.n_items)) for seed in range(seeds)])
+    drawn = np.array([wins_and_duels(sample_counts(
+        model, sets, multiplicities, np.random.default_rng(seeds + seed)))
+        for seed in range(seeds)])
+    var_records, var_drawn = records.var(axis=0, ddof=1), drawn.var(axis=0, ddof=1)
+    varying = (var_records > 0.0) | (var_drawn > 0.0)
+    np.testing.assert_array_equal(records[0, ~varying], drawn[0, ~varying])
+    z = (records.mean(axis=0) - drawn.mean(axis=0))[varying] / np.sqrt(
+        (var_records + var_drawn)[varying] / seeds)
+    assert np.abs(z).max() <= 4.5, z
+    # the variances too, where a count spreads wide enough that no rare pick rules it
+    wide = np.minimum(var_records, var_drawn) >= 1.0
+    ratio = var_drawn[wide] / var_records[wide]
+    assert wide.any() and np.all((0.5 <= ratio) & (ratio <= 2.0)), ratio
+
+
+def test_sample_counts_of_an_unoffered_set_are_zero():
+    model, sets, _ = _COUNT_CASES[-1]
+    drawn = sample_counts(model, sets, [0, 30, 0, 0, 0], np.random.default_rng(3))
+    assert drawn.n == 30
+    np.testing.assert_array_equal(drawn.offered, [0, 30, 30, 30, 0, 0])
+    for name in ("wins", "duels"):
+        assert np.all(getattr(drawn, name)[[0, 4, 5]] == 0)  # offered only in the unoffered sets
+    nothing = sample_counts(model, sets, [0] * 5, np.random.default_rng(3))
+    assert nothing.n == 0
+    for name in ("wins", "duels", "offered"):
+        np.testing.assert_array_equal(getattr(nothing, name), np.zeros(6, dtype=np.int64))
 
 
 def test_instance_cardinality_values():
@@ -252,9 +344,9 @@ def test_perturb_prior_lands_in_bucket(log_attractions, lo_share, width, seed):
     assert bucket[0] <= recomputed < bucket[1]
     # the target the generator drew, from its twin: the direction, then the draw
     p0 = prior_of(m)
-    reach = _reach(p0, twin.standard_normal(p0.size))
+    reach = _reach(p0, twin.standard_normal(p0.size)[None])[0]
     if reach <= lo:
-        reach = _reach(p0, (np.arange(p0.size) == np.argmin(p0)).astype(float))
+        reach = _reach(p0, (np.arange(p0.size) == np.argmin(p0)).astype(float)[None])[0]
     target = twin.uniform(lo, min(bucket[1], reach))
     assert abs(kl - target) <= 1e-8 * target
 
@@ -302,7 +394,8 @@ def test_perturb_priors_draws_the_bits_of_perturb_prior(bucket):
         np.testing.assert_array_equal(row, shifted.attractions)
         assert kl == one_kl
         if seed < 60:
-            far += _reach(p0, np.random.default_rng(seed).standard_normal(p0.size)) <= bucket[0]
+            d = np.random.default_rng(seed).standard_normal(p0.size)
+            far += _reach(p0, d[None])[0] <= bucket[0]
     assert (far > 0) == (bucket[0] > 0.0)
     if bucket[0] == 0.0:  # the stand-in's zero target leaves the prior as it is
         np.testing.assert_allclose(attractions[-1], m.attractions, rtol=1e-15)
