@@ -69,13 +69,12 @@ def _cmd_learn(args) -> int:
         revenues = tuple(model.revenues)
     else:
         raise RobustAssortmentError("provide --revenues or --model for the item revenues")
-    n_items = args.n_items if args.n_items is not None else len(revenues)
     cfg = LearnConfig(
         k=args.k, delta=args.delta, spec=spec, revenues=revenues,
         r_max=None if model is None else model.r_max,
         eps_plan=args.eps, pessimism=not args.baseline,
     )
-    items, diag = learn_robust_assortment(dataset, n_items, cfg)
+    items, diag = learn_robust_assortment(dataset, len(revenues), cfg)
     estimate = diag["estimate"]
     _emit({
         "assortment": list(items),
@@ -93,14 +92,12 @@ def _cmd_simulate(args) -> int:
     if args.instance == "exp1":
         model, factory = instance_sample_efficiency()
         schedule = factory(args.n, rng)
-    elif args.instance in ("exp3-uniform", "exp3-nonuniform"):
+    else:  # exp3-uniform or exp3-nonuniform
         if args.k is None:
             raise RobustAssortmentError(f"--k is required for instance {args.instance}")
         model, schedule = instance_cardinality(
             args.k, args.n_effect, uniform=args.instance.endswith("-uniform")
         )
-    else:
-        raise RobustAssortmentError(f"unknown instance {args.instance!r}")
     dataset = generate_dataset(model, schedule, rng)
     dataset.to_jsonl(args.out)
     if args.dump_model:
@@ -149,7 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_learn = sub.add_parser("learn", help="learn an assortment from offline data")
     p_learn.add_argument("--data", required=True, help="dataset path (.jsonl or .csv)")
-    p_learn.add_argument("--n-items", type=int, default=None)
     p_learn.add_argument("--k", type=int, required=True)
     p_learn.add_argument("--delta", type=float, default=0.01)
     p_learn.add_argument("--eps", type=float, default=None, help="tolerance (default 1e-5 r_max)")
@@ -184,9 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--name", required=True, choices=("fig1-demo", "fig2-demo"))
     p_demo.add_argument("--seed", type=int, required=True)
     p_demo.add_argument("--out", required=True)
-    p_demo.add_argument("--replications", type=int, default=None)
-    p_demo.add_argument("--config", default=None)
-    p_demo.set_defaults(fn=_cmd_exp)
+    p_demo.set_defaults(fn=_cmd_exp, config=None, replications=None)
 
     return parser
 

@@ -40,6 +40,9 @@ SCHEMA = "robust-assort/1"
 
 EXPERIMENT_NAMES = ("exp1", "exp2", "exp3", "fig1-demo", "fig2-demo")
 
+#: exp3's radius of each family: the constant KL radius and the varying rule's budget
+EXP3_RADII = {"constant": 0.1, "varying": 0.005}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -53,15 +56,11 @@ class ExperimentConfig:
     rho0_grid: tuple[float, ...] = (0.05, 0.075, 0.1, 0.125, 0.15, 0.175)
     k_grid: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
     n_effect: int = 1000
-    rho_exp3: float = 0.1
-    rho0_exp3: float = 0.005
     n_items_exp2: int = 50
     n_dataset_exp2: int = 20000
     perturbations_per_bucket: int = 10000
     rho_grid_exp2: tuple[float, ...] = tuple(round(0.1 * i, 2) for i in range(11))
     rho0_grid_exp2: tuple[float, ...] = tuple(round(0.02 * i, 2) for i in range(11))
-    delta: float = None  # type: ignore[assignment]  # default 0.1/N at use site
-    eps_plan: float | None = None
     out_dir: str = "."
 
     def __post_init__(self):
@@ -91,14 +90,8 @@ class ExperimentConfig:
             check(key, count, "a positive integer")
         for key in ("n_grid", "k_grid"):
             check(key, grid(count), "a nonempty list of positive integers")
-        for key in ("rho_exp3", "rho0_exp3"):
-            check(key, radius, "a finite nonnegative number")
         for key in ("rho_grid", "rho0_grid", "rho_grid_exp2", "rho0_grid_exp2"):
             check(key, grid(radius), "a nonempty list of finite nonnegative numbers")
-        check("delta", lambda x: x is None or radius(x) and 0.0 < x < 1.0,
-              "null or a number in (0, 1)")
-        check("eps_plan", lambda x: x is None or radius(x) and x > 0.0,
-              "null or a finite positive number")
         check("out_dir", lambda x: isinstance(x, (str, os.PathLike)), "a path")
 
     def rng_for(self, *path) -> np.random.Generator:
@@ -168,14 +161,13 @@ def _exp1_cell(cfg: ExperimentConfig, family: str, rho: float, star: float, n: i
                rep: int) -> list[tuple]:
     model, schedule_factory = instance_sample_efficiency()
     spec = _spec(family, rho, model)
-    delta = cfg.delta if cfg.delta is not None else 0.1 / model.n_items
+    delta = 0.1 / model.n_items
     rng = cfg.rng_for("exp1", family, rho, n, rep)
     sets = schedule_factory.sets  # equally likely: draw how often each is offered, then choices
     multiplicities = rng.multinomial(n, [1.0 / len(sets)] * len(sets))
     estimate = point_and_lcb(sample_counts(model, sets, multiplicities, rng), delta)
     learn_cfg = LearnConfig(
-        k=3, delta=delta, spec=spec, revenues=tuple(model.revenues),
-        r_max=model.r_max, eps_plan=cfg.eps_plan,
+        k=3, delta=delta, spec=spec, revenues=tuple(model.revenues), r_max=model.r_max,
     )
     rows = []
     for method, v_used in (("pessimistic", estimate.v_lcb), ("plugin", estimate.v_hat)):
@@ -223,7 +215,7 @@ def run_exp_robustness(cfg: ExperimentConfig) -> ResultTable:
     """Revenue gains of radius-indexed assortments under random prior shifts."""
     model, rho0_bound = _exp2_instance(cfg)
     n_items = model.n_items
-    delta = cfg.delta if cfg.delta is not None else 0.1 / n_items
+    delta = 0.1 / n_items
     rng = cfg.rng_for("exp2", "dataset")
     schedule = random_schedule(cfg.n_dataset_exp2, n_items, rng)
     dataset = generate_dataset(model, schedule, rng)
@@ -237,8 +229,7 @@ def run_exp_robustness(cfg: ExperimentConfig) -> ResultTable:
         learned[family] = {}
         for rho in grid:
             learn_cfg = LearnConfig(k=n_items, delta=delta, spec=_spec(family, rho, model),
-                                    revenues=tuple(model.revenues), r_max=model.r_max,
-                                    eps_plan=cfg.eps_plan)
+                                    revenues=tuple(model.revenues), r_max=model.r_max)
             items, _ = learn_robust_assortment(dataset, n_items, learn_cfg)
             learned[family][rho] = items
 
@@ -283,14 +274,13 @@ def run_exp_robustness(cfg: ExperimentConfig) -> ResultTable:
 def _exp3_cell(cfg: ExperimentConfig, mode: str, family: str, k: int) -> list[tuple]:
     """Detail rows of one exp3 cell, one per replication."""
     model, schedule = instance_cardinality(k, cfg.n_effect, mode == "uniform")
-    spec = _spec(family, cfg.rho_exp3 if family == "constant" else cfg.rho0_exp3, model)
-    star = plan(model, k, spec, eps=cfg.eps_plan).value  # one optimum per cell
+    spec = _spec(family, EXP3_RADII[family], model)
+    star = plan(model, k, spec).value  # one optimum per cell
     # per-item budget without the 1/N union scaling: these instances pin the
     # per-item duel counts near n_effect, where a scaled budget floors every
     # lower confidence bound at zero and nothing can be learned
-    delta = cfg.delta if cfg.delta is not None else 0.1
-    learn_cfg = LearnConfig(k=k, delta=delta, spec=spec, revenues=tuple(model.revenues),
-                            r_max=model.r_max, eps_plan=cfg.eps_plan)
+    learn_cfg = LearnConfig(k=k, delta=0.1, spec=spec, revenues=tuple(model.revenues),
+                            r_max=model.r_max)
     rows = []
     for rep in range(cfg.replications):
         dataset = generate_dataset(model, schedule, cfg.rng_for("exp3", mode, family, k, rep))

@@ -28,7 +28,8 @@ class LearnConfig:
 
     Revenues are treated as known alongside the radius rule; only the
     attractions are learned.  A varying-radius spec must carry the true total
-    attraction of the data-generating environment.
+    attraction of the data-generating environment.  ``r_max`` defaults to
+    ``max(revenues)``.
     """
 
     k: int
@@ -46,16 +47,11 @@ class LearnConfig:
         revenues = np.asarray(self.revenues, dtype=float)
         if revenues.ndim != 1 or revenues.size == 0:
             raise ConfigError("revenues must be a nonempty list of numbers")
-        r_max = self.resolved_r_max()
+        r_max = float(max(self.revenues) if self.r_max is None else self.r_max)
         if not (np.all(np.isfinite(revenues)) and np.all(revenues >= 0.0)
                 and np.all(revenues <= r_max)):
             raise ConfigError(f"every revenue must be finite and lie in [0, r_max = {r_max}], "
                               f"got {list(self.revenues)}")
-
-    def resolved_r_max(self) -> float:
-        if self.r_max is not None:
-            return float(self.r_max)
-        return float(max(self.revenues))
 
 
 def _plan_on_estimate(v_est: np.ndarray, cfg: LearnConfig) -> tuple[tuple[int, ...], PlanResult | None]:
@@ -71,7 +67,7 @@ def _plan_on_estimate(v_est: np.ndarray, cfg: LearnConfig) -> tuple[tuple[int, .
     sub = MnlModel(
         attractions=v_est[keep],
         revenues=np.asarray(cfg.revenues, dtype=float)[keep],
-        r_max=cfg.resolved_r_max(),
+        r_max=cfg.r_max if cfg.r_max is not None else max(cfg.revenues),
     )
     k_sub = min(cfg.k, keep.size)
     result = plan(sub, k_sub, cfg.spec, eps=cfg.eps_plan)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -9,9 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from robust_assortment import MnlModel, planning, save_model
+from robust_assortment import (ConstantRadius, MnlModel, VaryingRadius, load_model, planning,
+                               robust_revenue, save_model)
 from robust_assortment.cli import main
 from robust_assortment.experiments import EXPERIMENT_NAMES, ExperimentConfig
+from robust_assortment.model import R_MAX_CEIL
 
 
 @pytest.fixture
@@ -58,7 +61,7 @@ def test_simulate_then_learn_deterministic(tmp_path):
     assert main(args + ["--out", str(d2)]) == 0
     assert d1.read_bytes() == d2.read_bytes()
 
-    learn = ["learn", "--data", str(d1), "--n-items", "15", "--k", "3",
+    learn = ["learn", "--data", str(d1), "--k", "3",
              "--rho", "0.1", "--delta", "0.01",
              "--revenues", ",".join(["1.0"] * 15)]
     o1, o2 = tmp_path / "l1.json", tmp_path / "l2.json"
@@ -73,7 +76,7 @@ def test_simulate_then_learn_deterministic(tmp_path):
     assert main(learn + ["--baseline", "--out", str(baseline)]) == 0
     assert _read_json(baseline)["method"] == "plugin"
 
-    varying = ["learn", "--data", str(d1), "--n-items", "15", "--k", "3",
+    varying = ["learn", "--data", str(d1), "--k", "3",
                "--rho0", "0.05", "--vtot", "5.03", "--delta", "0.01",
                "--revenues", ",".join(["1.0"] * 15), "--out", str(tmp_path / "v.json")]
     assert main(varying) == 0
@@ -83,7 +86,7 @@ def test_simulate_then_learn_deterministic(tmp_path):
 def test_learn_varying_requires_vtot_without_model(tmp_path):
     data = tmp_path / "d.jsonl"
     data.write_text('{"assortment": [1], "choice": 1}\n')
-    code = main(["learn", "--data", str(data), "--n-items", "1", "--k", "1",
+    code = main(["learn", "--data", str(data), "--k", "1",
                  "--rho0", "0.05", "--revenues", "1.0"])
     assert code == 1
 
@@ -129,12 +132,19 @@ def test_demo_subcommand(tmp_path):
 
 
 def test_usage_error_exits_2():
-    with pytest.raises(SystemExit) as err:
-        main(["plan", "--rho", "0.1"])  # missing required --model
-    assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        main(["simulate", "--instance", "exp1", "--out", "x.jsonl"])  # missing --seed
-    assert err.value.code == 2
+    for argv in (
+        ["plan", "--rho", "0.1"],  # missing required --model
+        ["simulate", "--instance", "exp1", "--out", "x.jsonl"],  # missing --seed
+        # flags of earlier versions: the revenues give the item count, and the
+        # fig demos read no config
+        ["learn", "--data", "d.jsonl", "--n-items", "15", "--k", "3", "--rho", "0.1",
+         "--revenues", "1"],
+        ["demo", "--name", "fig2-demo", "--seed", "1", "--out", "x", "--replications", "1"],
+        ["demo", "--name", "fig2-demo", "--seed", "1", "--out", "x", "--config", "c.json"],
+    ):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
 
 
 def test_runtime_error_exits_1(tmp_path):
@@ -211,7 +221,7 @@ def test_plan_without_eps_plans_to_the_revenue_scale(tmp_path, monkeypatch):
 def test_dataset_line_errors_name_the_file_line(tmp_path, capsys, name, text, where):
     data = tmp_path / name
     data.write_text(text)
-    assert main(["learn", "--data", str(data), "--n-items", "1", "--k", "1",
+    assert main(["learn", "--data", str(data), "--k", "1",
                  "--rho", "0.1", "--revenues", "1.0"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and where in err
@@ -220,7 +230,12 @@ def test_dataset_line_errors_name_the_file_line(tmp_path, capsys, name, text, wh
 @pytest.mark.parametrize("config, named", [
     ({"replications": 1, "n_efect": 5, "k_gird": [2]}, "k_gird, n_efect"),
     ({"seed": 3}, "seed"),
-    ({"workers": 2}, "workers"),  # a key that configs of earlier versions set
+    # keys that configs of earlier versions set
+    ({"workers": 2}, "workers"),
+    ({"delta": 0.01}, "delta"),
+    ({"eps_plan": 1e-6}, "eps_plan"),
+    ({"rho_exp3": 0.2}, "rho_exp3"),
+    ({"rho0_exp3": 0.01}, "rho0_exp3"),
 ])
 def test_exp_config_errors_are_typed(tmp_path, capsys, config, named):
     cfg = tmp_path / "cfg.json"
@@ -361,6 +376,21 @@ def test_dataset_that_is_not_utf8_is_one_error_line(tmp_path, capsys, name, data
     _one_error_line(capsys, where)
 
 
+def test_learn_without_revenues_is_one_error_line(tmp_path, capsys):
+    data = tmp_path / "d.jsonl"
+    data.write_text('{"assortment": [1], "choice": 1}\n')
+    assert main(["learn", "--data", str(data), "--k", "1", "--rho", "0.1"]) == 1
+    _one_error_line(capsys, "--revenues or --model")
+
+
+def test_simulate_exp3_without_k_is_one_error_line(tmp_path, capsys):
+    out = tmp_path / "data.jsonl"
+    assert main(["simulate", "--instance", "exp3-uniform", "--seed", "1",
+                 "--out", str(out)]) == 1
+    _one_error_line(capsys, "--k is required")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("k", ["0", "-1"])
 def test_learn_k_below_one_is_one_error_line(tmp_path, capsys, k):
     data = tmp_path / "d.jsonl"
@@ -479,3 +509,58 @@ def test_malformed_files_exit_with_one_error_line(file, flag, experiment):
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     assert len(errors) == (code == 1)
+
+
+# --- valid model files at extreme scales, planned through the CLI ----------
+
+def _log_scale(lo: float, hi: float):
+    """Numbers from lo to hi, spread evenly over their logarithms."""
+    return st.floats(0.0, 1.0).map(lambda x: min(hi, max(lo, lo * (hi / lo) ** x)))
+
+
+@st.composite
+def _planned_models(draw):
+    """A valid model payload with 1-7 items: attractions 1e-4 to 1e4, revenues
+    on a grid of r_max (so tied and zero) or anywhere below it, and r_max from
+    1e-3 up to ``R_MAX_CEIL``."""
+    n = draw(st.integers(1, 7))
+    r_max = draw(_log_scale(1e-3, R_MAX_CEIL))
+    shares = st.sampled_from((0.0, 0.25, 0.5, 1.0)) | st.floats(0.0, 1.0)
+    return {"attractions": draw(st.lists(_log_scale(1e-4, 1e4), min_size=n, max_size=n)),
+            "revenues": [share * r_max for share in
+                         draw(st.lists(shares, min_size=n, max_size=n))],
+            "r_max": r_max}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_planned_models(), st.data(), st.sampled_from(("--rho", "--rho0")))
+def test_plan_of_a_valid_model_is_its_own_robust_revenue(payload, data, flag):
+    """The CLI plans every valid model: it prints a plan whose value is the robust
+    revenue of its assortment, bit for bit, or refuses a --rho0 beyond its bound
+    with one ``error:`` line."""
+    n = len(payload["attractions"])
+    k = data.draw(st.integers(1, n), label="k")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        path.write_text(json.dumps(payload))
+        model = load_model(path)
+        if flag == "--rho":
+            radius = data.draw(_log_scale(1e-11, 30.0), label="rho")
+            spec, beyond = ConstantRadius(radius), False
+        else:
+            bound = math.log1p(1.0 / model.v_tot)
+            radius = data.draw(st.floats(0.0, 1.2), label="share of the bound") * bound
+            beyond = not radius < bound
+            spec = None if beyond else VaryingRadius(radius, model.v_tot)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+            code = main(["plan", "--model", str(path), "--k", str(k), flag, repr(radius)])
+    if beyond:
+        lines = err.getvalue().splitlines()
+        assert code == 1 and len(lines) == 1 and lines[0].startswith("error: rho0 must")
+        return
+    assert code == 0, err.getvalue()
+    result = json.loads(out.getvalue())
+    assert len(result["assortment"]) <= k
+    own = robust_revenue(model, result["assortment"], spec, allow_degenerate=True).value
+    assert result["value"] == own
