@@ -28,9 +28,7 @@ from .simulate import (
     generate_dataset,
     instance_cardinality,
     instance_sample_efficiency,
-    model_from_prior,
     perturb_priors,
-    prior_of,
     random_schedule,
     sample_counts,
     shift_scores,
@@ -379,14 +377,12 @@ _FIG1_MODEL = MnlModel(
 
 
 def _fig1_shift(model: MnlModel, a1: float, a2: float) -> MnlModel:
-    """``model`` with its prior tilted by a1 toward no purchase and by a2 toward
-    low revenue; the corner (1, 1) of _FIG1_MODEL lies within KL 0.1 of it."""
-    d1 = np.zeros(model.n_items + 1)
-    d1[0] = 1.0
-    d2 = np.concatenate(([0.0], model.r_max - model.revenues))
-    logits = np.log(prior_of(model)) + a1 * d1 + a2 * d2
-    prior = np.exp(logits - logits.max())
-    return model_from_prior(prior / prior.sum(), model.revenues, model.r_max)
+    """``model`` with its prior's logits tilted by a1 toward no purchase and by
+    a2 * (r_max - r) toward low revenue, in closed form: each attraction scales by
+    exp(a2 * (r_max - r) - a1).  The corner (1, 1) of _FIG1_MODEL lies within KL
+    0.1 of it."""
+    tilt = np.exp(a2 * (model.r_max - model.revenues) - a1)
+    return MnlModel(model.attractions * tilt, model.revenues, model.r_max)
 
 
 def run_fig1_demo(cfg: ExperimentConfig) -> ResultTable:

@@ -52,6 +52,8 @@ class LearnConfig:
                 and np.all(revenues <= r_max)):
             raise ConfigError(f"every revenue must be finite and lie in [0, r_max = {r_max}], "
                               f"got {list(self.revenues)}")
+        if not (self.eps_plan is None or self.eps_plan > 0.0):
+            raise ConfigError(f"eps_plan must be positive, got {self.eps_plan!r}")
 
 
 def _plan_on_estimate(v_est: np.ndarray, cfg: LearnConfig) -> tuple[tuple[int, ...], PlanResult | None]:

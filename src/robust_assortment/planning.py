@@ -580,7 +580,10 @@ def plan_bruteforce(model: MnlModel, k: int, spec: RadiusSpec) -> PlanResult:
 
 
 def plan(model: MnlModel, k: int, spec: RadiusSpec, eps: float | None = None) -> PlanResult:
-    """Dispatch to the cheapest exact planner that applies, else ``plan_general``."""
+    """Dispatch to the cheapest exact planner that applies, else ``plan_general``;
+    a given ``eps`` must be positive on every path."""
+    if not (eps is None or eps > 0.0):
+        raise ValueError("eps must be positive")
     k = min(k, model.n_items)  # a larger k plans the unconstrained optimum on every path
     if np.ptp(model.revenues) <= 1e-12 * model.r_max:
         return plan_uniform_revenue(model, k, spec)

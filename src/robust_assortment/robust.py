@@ -30,14 +30,18 @@ _TILT_TOL = 1e-13
 _TILT_MAX_ITER = 200
 
 
+def kl_columns(Q, p) -> np.ndarray:
+    """KL(q || p) of each column q of ``Q`` against the column ``p``, with the
+    conventions 0*log(0/.) = 0 and q>0,p=0 -> inf: ``column_sums`` of q*log(q/p),
+    so a column has the same bits alone, with zero entries or anywhere in any batch."""
+    Q, p = np.asarray(Q, dtype=float), np.asarray(p, dtype=float)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return column_sums(np.where(Q > 0.0, Q * np.log(Q / p), 0.0))
+
+
 def kl_divergence(q, p) -> float:
-    """KL(q || p) with the conventions 0*log(0/.) = 0 and q>0,p=0 -> inf."""
-    q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
-    mask = q > 0.0
-    q, p = q[mask], p[mask]
-    if (p <= 0.0).any():
-        return math.inf
-    return float(np.sum(q * np.log(q / p)))
+    """KL(q || p): the one-column case of ``kl_columns``."""
+    return float(kl_columns(np.asarray(q, dtype=float)[:, None], p)[0])
 
 
 def _moments(logp: np.ndarray, R: np.ndarray, lam: np.ndarray):
@@ -55,11 +59,8 @@ def _moments(logp: np.ndarray, R: np.ndarray, lam: np.ndarray):
     return log_m, q, -log_m - mean / lam, column_sums(q * dev * dev)
 
 
-def _solve_block(logp: np.ndarray, R: np.ndarray, rho: np.ndarray, r_max):
+def _solve_block(logp: np.ndarray, R: np.ndarray, rho: np.ndarray, r_max: float):
     """(lam*, log E_P[exp(-r/lam*)], q_lam*) of each column, for radii rho > 0.
-
-    ``r_max`` is one revenue bound for the block or an array of one per column;
-    each column's bracket is the one it has alone.
 
     phi' = KL(q_lam || P) - rho decreases in lam: columns with phi' <= 0 at the
     floor (infinite radii among them) or >= 0 at the cap stop there, in round
@@ -71,12 +72,8 @@ def _solve_block(logp: np.ndarray, R: np.ndarray, rho: np.ndarray, r_max):
     bit for bit; they are read once, when the last column stops.
     """
     n = rho.size
-    if np.ndim(r_max):  # math.log per column, as the scalar branch takes it
-        log_cap = np.array([math.log(r) for r in r_max.tolist()])
-        lo = np.array([math.log(LAMBDA_FLOOR * r) for r in r_max.tolist()])
-    else:
-        log_cap, lo = math.log(r_max), np.full(n, math.log(LAMBDA_FLOOR * r_max))
-    hi = np.maximum(log_cap - np.log(rho), lo)  # a cap below the floor is clamped
+    lo = np.full(n, math.log(LAMBDA_FLOOR * r_max))
+    hi = np.maximum(math.log(r_max) - np.log(rho), lo)  # a cap below the floor is clamped
     # floor and cap in one pass over the block placed twice side by side
     u = np.concatenate((lo, hi))
     lam = np.exp(u)
@@ -119,12 +116,12 @@ def _solve_block(logp: np.ndarray, R: np.ndarray, rho: np.ndarray, r_max):
     return out
 
 
-def _dual_batch(P: np.ndarray, R: np.ndarray, rho: np.ndarray, r_max):
+def _dual_batch(P: np.ndarray, R: np.ndarray, rho: np.ndarray, r_max: float):
     """(values, lambda_star, tilt) of many assortments, one column of P and R each.
 
     A column holds a set's choice probabilities or revenues, no purchase first,
     zero-padded below; ``rho`` is inf where the varying radius is infeasible.
-    ``r_max`` bounds every column's revenues, or is an array of one bound per column.
+    ``r_max`` bounds every column's revenues.
     Radii below ``ZERO_RADIUS`` give the nominal revenue (lambda inf, tilt P);
     negative optima are floored to 0 with lambda_star = 0.  The other columns go
     in blocks of at most ``_BLOCK_ENTRIES`` entries, in the order given, each
@@ -141,8 +138,7 @@ def _dual_batch(P: np.ndarray, R: np.ndarray, rho: np.ndarray, r_max):
         w = np.flatnonzero(P.take(blk, axis=1).any(axis=1))[-1] + 1  # the block's widest set
         Pb, Rb = (A[:w].take(blk, axis=1) for A in (P, R))
         logp = np.log(Pb, out=np.full(Pb.shape, -np.inf), where=Pb > 0.0)  # -inf for padding
-        lam_star[blk], log_m, q = _solve_block(logp, Rb, rho[blk],
-                                               r_max[blk] if np.ndim(r_max) else r_max)
+        lam_star[blk], log_m, q = _solve_block(logp, Rb, rho[blk], r_max)
         tilt[:w, blk] = q
         values[blk] = -lam_star[blk] * (log_m + rho[blk])
     negative = values < 0.0

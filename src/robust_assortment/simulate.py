@@ -9,8 +9,8 @@ from .base import RobustAssortmentError
 from .estimation import (OfflineDataset, RankBreakingCounts, _csr, _validated, point_and_lcb,
                          rank_breaking)
 from .model import (MnlModel, _draw_choices, _support_columns, as_assortment, choice_columns,
-                    nominal_revenues)
-from .robust import _dual_batch, kl_divergence
+                    column_sums, nominal_revenues)
+from .robust import _dual_batch, kl_columns
 
 #: A prior shift tilts by at most beta*(max d - min d) = _TILT_SPAN, so no probability
 #: falls below exp(-_TILT_SPAN) times its nominal one; its KL target stays a relative
@@ -152,21 +152,9 @@ def instance_cardinality(k: int, n_effect: int, uniform: bool) -> tuple[MnlModel
 
 
 def prior_of(model: MnlModel) -> np.ndarray:
-    """Prior over all choices (no purchase first) induced by the attractions."""
-    return _priors(model.attractions[None])[0]
-
-
-def _priors(attractions: np.ndarray) -> np.ndarray:
-    """``prior_of`` of each row of a C-ordered stack of attraction vectors: numpy
-    sums a row of it as it sums the row alone."""
-    return np.concatenate((np.ones((len(attractions), 1)), attractions), axis=1) / (
-        1.0 + attractions.sum(axis=1, keepdims=True))
-
-
-def model_from_prior(prior: np.ndarray, revenues, r_max: float) -> MnlModel:
-    """Invert a full-support prior back to attraction parameters."""
-    prior = np.asarray(prior, dtype=float)
-    return MnlModel(attractions=prior[1:] / prior[0], revenues=revenues, r_max=r_max)
+    """Prior over all choices (no purchase first) induced by the attractions: the
+    full assortment's ``choice_columns`` column."""
+    return choice_columns(model, [np.arange(1, model.n_items + 1)])[0][:, 0]
 
 
 def perturb_prior(model: MnlModel, kl_bucket: tuple[float, float],
@@ -194,7 +182,7 @@ def perturb_priors(model: MnlModel, kl_bucket: tuple[float, float],
     Each generator draws its direction, then its target.  The directions are
     reached and tilted in one batch, where each keeps the bits it has alone.
     Returns the shifted attractions, one row per generator, which keep the
-    model's revenues and r_max, and the realized KL values.
+    model's revenues and r_max, and the realized KL values of their priors.
     """
     lo, hi = float(kl_bucket[0]), float(kl_bucket[1])
     if not 0.0 <= lo < hi:
@@ -210,30 +198,21 @@ def perturb_priors(model: MnlModel, kl_bucket: tuple[float, float],
     short = reach <= lo
     d[short], reach[short] = far, top
     target = np.array([rng.uniform(lo, min(hi, r)) for rng, r in zip(rngs, reach.tolist())])
-    # the kernel's worst-case tilt of revenues max d - d; p0 itself below ZERO_RADIUS
-    tilt = _dual_batch(np.repeat(p0[:, None], len(rngs), axis=1), d.max(axis=1) - d.T, target,
-                       np.ptp(d, axis=1))[2]
-    q = np.ascontiguousarray(tilt.T)  # C order, which _priors needs
-    attractions = q[:, 1:] / q[:, :1]
-    return attractions, _kl_rows(_priors(attractions), p0)
+    # the kernel's worst-case tilt of revenues max d - d scaled to unit span, so
+    # r_max = 1; p0 itself below ZERO_RADIUS
+    tilt = _dual_batch(np.repeat(p0[:, None], len(rngs), axis=1),
+                       (d.max(axis=1) - d.T) / np.ptp(d, axis=1), target, 1.0)[2]
+    attractions = (tilt[1:] / tilt[0]).T
+    priors = choice_columns(model, [np.arange(1, p0.size)], attractions)[0]  # one per column
+    return attractions, kl_columns(priors, p0)
 
 
 def _reach(p0: np.ndarray, d: np.ndarray) -> np.ndarray:
     """KL(q || p0) at the tilt beta*(max d - min d) = _TILT_SPAN, less _REACH_MARGIN,
     of each direction d, a row of ``d``."""
-    top, span = d.max(axis=1, keepdims=True), np.ptp(d, axis=1, keepdims=True)
-    q = p0 * np.exp(_TILT_SPAN * (d - top) / span)
-    return _kl_rows(q / q.sum(axis=1, keepdims=True), p0) * (1.0 - _REACH_MARGIN)
-
-
-def _kl_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """``kl_divergence(row, p)`` of each row of ``q``, with its bits: numpy sums
-    a row of a C-ordered array as it sums the row alone."""
-    full = (q > 0.0).all(axis=1)
-    kl = np.empty(len(q))
-    kl[full] = (q[full] * np.log(q[full] / p)).sum(axis=1)
-    kl[~full] = [kl_divergence(row, p) for row in q[~full]]
-    return kl
+    top, span = d.max(axis=1), np.ptp(d, axis=1)
+    q = p0[:, None] * np.exp(_TILT_SPAN * (d.T - top) / span)
+    return kl_columns(q / column_sums(q), p0) * (1.0 - _REACH_MARGIN)
 
 
 def random_schedule(n: int, n_items: int, rng: np.random.Generator) -> list[tuple[int, ...]]:

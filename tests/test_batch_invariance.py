@@ -107,20 +107,3 @@ def test_column_sums_add_each_column_in_row_order(columns):
         assert np.array_equal(column_sums(strided[::2, ::3]), in_order)
         assert np.array_equal(column_sums(strided.T[::3, ::2].T), in_order)
 
-
-def test_per_column_r_max_gives_each_column_its_scalar_bits():
-    # each column's revenue bound goes through math.log as a scalar one does; numpy's
-    # vector log rounds some bounds differently (here about 1 in 500), and the bounds
-    # below are mostly those, so a vector log would move some columns' bits
-    rng = np.random.default_rng(7)
-    bounds = 10.0 ** rng.uniform(-3.0, 3.0, 20000)
-    vector_log_differs = np.log(bounds) != np.array([math.log(b) for b in bounds.tolist()])
-    r_max = np.concatenate((bounds[vector_log_differs][:200], bounds[:20]))
-    P = rng.dirichlet(np.ones(8), size=r_max.size).T
-    R = rng.random(P.shape) * r_max
-    rho = 10.0 ** rng.uniform(-3.0, 1.0, r_max.size)
-    values, lam, tilt = _dual_batch(P, R, rho, r_max)
-    for j, r in enumerate(r_max.tolist()):
-        own = _dual_batch(P[:, j:j + 1], R[:, j:j + 1], rho[j:j + 1], r)
-        assert (values[j], lam[j]) == (own[0][0], own[1][0])
-        np.testing.assert_array_equal(tilt[:, j], own[2][:, 0])

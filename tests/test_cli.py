@@ -400,6 +400,25 @@ def test_learn_k_below_one_is_one_error_line(tmp_path, capsys, k):
     _one_error_line(capsys, "k must be")
 
 
+@pytest.mark.parametrize("revenues, k", [
+    ([1.0, 1.0, 1.0], "2"),  # uniform revenues
+    ([1.0, 0.8, 0.3], "3"),  # k = n: the unconstrained optimum
+    ([1.0, 0.8, 0.3], "2"),  # the general planner
+])
+def test_eps_that_is_not_positive_is_one_error_line_on_every_path(tmp_path, capsys, revenues, k):
+    path = tmp_path / "model.json"
+    save_model(MnlModel(attractions=np.array([1.0, 0.4, 2.0]), revenues=np.array(revenues)), path)
+    data = tmp_path / "d.jsonl"
+    data.write_text("".join(json.dumps({"assortment": [1, 2, 3], "choice": c}) + "\n"
+                            for c in [0, 1, 2, 3] * 25))
+    for eps in ("0", "-1", "nan"):
+        assert main(["plan", "--model", str(path), "--rho", "0.1", "--k", k, "--eps", eps]) == 1
+        _one_error_line(capsys, "eps")
+        assert main(["learn", "--data", str(data), "--model", str(path), "--rho", "0.1",
+                     "--k", k, "--eps", eps]) == 1
+        _one_error_line(capsys, "eps")
+
+
 def test_plan_on_a_subnormal_revenue_scale_is_one_error_line(tmp_path, capsys):
     # the dual's lambda floor, 1e-12 * r_max, would not be a normal float
     path = tmp_path / "model.json"

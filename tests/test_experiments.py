@@ -82,6 +82,11 @@ def test_fig1_demo_robust_plan_has_better_worst_case():
 def test_fig1_demo_corner_shift_stays_within_kl_limit():
     corner = _fig1_shift(_FIG1_MODEL, 1.0, 1.0)
     assert kl_divergence(prior_of(corner), prior_of(_FIG1_MODEL)) <= 0.1
+    # the closed form is the logit tilt of the prior: a1 on no purchase, a2 * (r_max - r)
+    # on the items, renormalised
+    tilted = prior_of(_FIG1_MODEL) * np.exp(
+        np.concatenate(([1.0], _FIG1_MODEL.r_max - _FIG1_MODEL.revenues)))
+    np.testing.assert_allclose(prior_of(corner), tilted / tilted.sum(), rtol=1e-15, atol=0.0)
 
 
 def test_exp2_relative_gain_is_a_ratio_of_means(monkeypatch):

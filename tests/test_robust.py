@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robust_assortment import (
     ConstantRadius,
@@ -132,6 +134,29 @@ def test_certificate_validity(rng):
         assert math.fsum(ev.worst_case.probs * R[:, 0]) <= ev.value + 1e-6
         assert ev.value <= nominal_expected_revenue(m, items) + 1e-12
         assert 0.0 <= ev.lambda_star <= m.r_max / ev.radius + 1e-9 or math.isinf(ev.lambda_star)
+
+
+# a probability from 1e-300 to 1, or a zero
+_MASS = st.one_of(st.just(0.0), st.floats(1e-300, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda k: st.lists(
+    st.lists(_MASS, min_size=k, max_size=k).filter(any), min_size=2, max_size=8)), st.data())
+def test_kl_columns_is_kl_divergence_of_each_compact_column(columns, data):
+    # each column has some mass; the first is p, and it and the rest are the columns q
+    p = np.array(columns[0])
+    Q = np.array(columns).T
+    kl = robust.kl_columns(Q, p)
+    for q, one in zip(Q.T, kl.tolist()):
+        kept = q > 0.0
+        assert one == kl_divergence(q[kept], p[kept])  # bit for bit, inf included
+        assert (one == math.inf) == bool((kept & (p == 0.0)).any())
+    assert kl[0] == 0.0
+    order = data.draw(st.permutations(range(Q.shape[1])))
+    batch = data.draw(st.lists(st.sampled_from(order), min_size=1, max_size=2 * Q.shape[1]))
+    assert np.array_equal(robust.kl_columns(Q[:, order], p), kl[order])
+    assert np.array_equal(robust.kl_columns(Q[:, batch], p), kl[batch])
 
 
 def test_primal_oracle_trivial_cases():

@@ -23,8 +23,8 @@ from robust_assortment import (
     shift_metrics,
 )
 from robust_assortment.model import choice_columns
-from robust_assortment.simulate import (_SCORE_ROWS, _reach, model_from_prior, perturb_priors,
-                                        prior_of, sample_counts, shift_scores)
+from robust_assortment.simulate import (_SCORE_ROWS, _reach, perturb_priors, prior_of,
+                                        sample_counts, shift_scores)
 
 from conftest import choice_probs
 
@@ -303,9 +303,6 @@ def test_perturb_prior_round_trip_and_bucket(rng):
         recomputed = kl_divergence(prior_of(shifted), prior_of(m))
         assert recomputed == pytest.approx(kl, rel=1e-9)
         assert bucket[0] <= recomputed < bucket[1]
-    prior = prior_of(m)
-    rebuilt = model_from_prior(prior, m.revenues, m.r_max)
-    np.testing.assert_allclose(rebuilt.attractions, m.attractions, atol=1e-12)
 
 
 def test_perturb_prior_determinism():
