@@ -60,10 +60,13 @@ class OfflineDataset:
         return cls._owned(*[np.array(a) for a in (offsets, items, choices)])
 
     @classmethod
-    def _owned(cls, offsets, items, choices) -> "OfflineDataset":
-        """``from_arrays`` of arrays no one else holds, kept as they are when int64."""
+    def _owned(cls, offsets, items, choices, counts=None) -> "OfflineDataset":
+        """``from_arrays`` of arrays no one else holds, kept as they are when int64;
+        ``counts``, if given, maps catalogue sizes to the records' ``rank_breaking``
+        counts, which the dataset then keeps as its own."""
         dataset = cls.__new__(cls)
         dataset._store(offsets, items, choices)
+        dataset._counts.update(counts or {})
         return dataset
 
     def _store(self, offsets, items, choices) -> None:
@@ -347,8 +350,9 @@ class RankBreakingCounts:
 def rank_breaking(dataset, n_items: int) -> RankBreakingCounts:
     """Exact rank-breaking counts; validates every record.
 
-    An ``OfflineDataset`` is counted once per ``n_items`` and keeps its counts;
-    any other sequence of records is converted and counted on each call.
+    An ``OfflineDataset`` is counted once per ``n_items`` and keeps its counts
+    (``generate_dataset``'s come counted for their model's ``n_items``); any
+    other sequence of records is converted and counted on each call.
     Raises ``DataValidationError`` for the first record, in record order, that
     offers an id outside 1..n_items or a repeated id, or whose choice is
     neither 0 nor offered.
@@ -372,11 +376,19 @@ def _count(dataset: OfflineDataset, n_items: int) -> RankBreakingCounts:
             message = f"invalid assortment {record}: {exc}"
         raise DataValidationError(f"record {bad}: {message}", record_index=bad)
 
-    # every id is now in 0..n_items, so slot i of each count is item i (0: no purchase)
+    return _tally(items, choices, items[chosen == 0], n_items)
+
+
+def _tally(items: np.ndarray, choices: np.ndarray, declined: np.ndarray,
+           n_items: int) -> RankBreakingCounts:
+    """The rank-breaking counts of valid records that offer the ids ``items`` and
+    choose ``choices``, where ``declined`` holds the ids offered by the records
+    that chose no purchase.  Every id lies in 0..n_items, so slot i of each
+    count is item i (0: no purchase)."""
     wins = np.bincount(choices, minlength=n_items + 1)[1:]
-    duels = np.bincount(items[chosen == 0], minlength=n_items + 1)[1:] + wins
+    duels = np.bincount(declined, minlength=n_items + 1)[1:] + wins
     offered = np.bincount(items, minlength=n_items + 1)[1:]
-    return RankBreakingCounts(wins=wins, duels=duels, offered=offered, n=dataset.n)
+    return RankBreakingCounts(wins=wins, duels=duels, offered=offered, n=choices.size)
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,10 @@ def column_sums(x: np.ndarray) -> np.ndarray:
     """Sums down the columns of ``x``, adding its rows in order, so zero rows never
     move a sum.  numpy adds an axis-0 sum row by row only over a C-contiguous array
     of two or more columns; it sums an F-ordered array or a lone column pairwise.
-    So ``x`` is made C-contiguous, and a lone column accumulates."""
+    So ``x`` is made C-contiguous, and a lone column of rows accumulates; a column
+    of no rows sums to 0."""
     x = np.ascontiguousarray(x)
-    return x.sum(axis=0) if x.shape[1] > 1 else np.add.accumulate(x, axis=0)[-1]
+    return x.sum(axis=0) if x.shape[1] > 1 or not len(x) else np.add.accumulate(x, axis=0)[-1]
 
 
 def set_weights(columns) -> np.ndarray:

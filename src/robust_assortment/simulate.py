@@ -6,11 +6,11 @@ import math
 import numpy as np
 
 from .base import RobustAssortmentError
-from .estimation import (OfflineDataset, RankBreakingCounts, _csr, _validated, point_and_lcb,
-                         rank_breaking)
+from .estimation import (OfflineDataset, RankBreakingCounts, _csr, _tally, _validated,
+                         point_and_lcb, rank_breaking)
 from .model import (MnlModel, _draw_choices, _support_columns, as_assortment, choice_columns,
                     column_sums, nominal_revenues)
-from .robust import _dual_batch, kl_columns
+from .robust import _BLOCK_ENTRIES, _dual_batch, kl_columns
 
 #: A prior shift tilts by at most beta*(max d - min d) = _TILT_SPAN, so no probability
 #: falls below exp(-_TILT_SPAN) times its nominal one; its KL target stays a relative
@@ -30,24 +30,36 @@ def generate_dataset(model: MnlModel, schedule, rng: np.random.Generator) -> Off
     ``schedule`` is a sequence of assortments or a 2-D int array with one per
     row; each record keeps its assortment sorted.  Record i turns the i-th
     draw of one ``rng.random(n)`` call into its choice, so the output is
-    reproducible from the generator state.
+    reproducible from the generator state.  Each width's records are drawn in
+    blocks of at most ``_BLOCK_ENTRIES`` choice-table entries.  The records are
+    valid by construction, so the dataset comes with its ``rank_breaking``
+    counts for ``model.n_items``, tallied without a second validation.
     """
+    n = model.n_items
     offsets, given = _csr(schedule)
-    _, items, bad = _validated(offsets, given, model.n_items)
+    _, items, bad = _validated(offsets, given, n)
     if bad is not None:  # as_assortment raises the first bad record's error
-        as_assortment(given[offsets[bad]:offsets[bad + 1]].tolist(), model.n_items)
+        as_assortment(given[offsets[bad]:offsets[bad + 1]].tolist(), n)
+    if isinstance(schedule, np.ndarray):  # items may be a view of the caller's array
+        items = items.copy()
     sizes = np.diff(offsets)
     uniforms = rng.random(sizes.size)
     choices = np.empty(sizes.size, dtype=np.int64)
-    counts = np.bincount(sizes)
-    for k in np.flatnonzero(counts).tolist():
-        if counts[k] == sizes.size:  # one width: the records are the rows of items
-            rec, sets = slice(None), items.reshape(sizes.size, k)
-        else:
-            rec = np.flatnonzero(sizes == k)
-            sets = items[offsets[rec, None] + np.arange(k)]  # row j: record rec[j]'s set
-        choices[rec] = _draw_choices(model, sets, uniforms[rec])
-    return OfflineDataset.from_arrays(offsets, items, choices)
+    widths = np.bincount(sizes)
+    for k in np.flatnonzero(widths).tolist():
+        # one width: the records are the rows of items, and a block is a slice of them
+        rec = None if widths[k] == sizes.size else np.flatnonzero(sizes == k)
+        step = max(1, _BLOCK_ENTRIES // (k + 1))
+        for start in range(0, int(widths[k]), step):
+            if rec is None:
+                block = slice(start, start + step)
+                rows = items.reshape(sizes.size, k)[block]
+            else:
+                block = rec[start:start + step]
+                rows = items[offsets[block, None] + np.arange(k)]  # row j: record block[j]'s set
+            choices[block] = _draw_choices(model, rows, uniforms[block])
+    counts = _tally(items, choices, items[np.repeat(choices == 0, sizes)], n)
+    return OfflineDataset._owned(offsets, items, choices, {n: counts})
 
 
 def sample_counts(model: MnlModel, sets, multiplicities,

@@ -107,3 +107,7 @@ def test_column_sums_add_each_column_in_row_order(columns):
         assert np.array_equal(column_sums(strided[::2, ::3]), in_order)
         assert np.array_equal(column_sums(strided.T[::3, ::2].T), in_order)
 
+
+@pytest.mark.parametrize("columns", [0, 1, 3])
+def test_column_sums_of_no_rows_are_zero(columns):
+    assert np.array_equal(column_sums(np.empty((0, columns))), np.zeros(columns))

@@ -136,6 +136,12 @@ def test_certificate_validity(rng):
         assert 0.0 <= ev.lambda_star <= m.r_max / ev.radius + 1e-9 or math.isinf(ev.lambda_star)
 
 
+def test_kl_of_empty_vectors_is_zero():
+    # an all-zero q has an empty compact part, and both give 0
+    assert kl_divergence(np.array([]), np.array([])) == 0.0
+    assert robust.kl_columns(np.zeros((3, 1)), np.array([0.2, 0.3, 0.5])).tolist() == [0.0]
+
+
 # a probability from 1e-300 to 1, or a zero
 _MASS = st.one_of(st.just(0.0), st.floats(1e-300, 1.0))
 

@@ -22,7 +22,9 @@ from robust_assortment import (
     rank_breaking,
     shift_metrics,
 )
-from robust_assortment.model import choice_columns
+from robust_assortment import estimation, robust
+from robust_assortment.estimation import OfflineDataset, _csr
+from robust_assortment.model import _draw_choices, choice_columns
 from robust_assortment.simulate import (_SCORE_ROWS, _reach, perturb_priors, prior_of,
                                         sample_counts, shift_scores)
 
@@ -294,6 +296,54 @@ def test_generate_dataset_keeps_no_view_of_the_schedule(rng):
     dataset = generate_dataset(m, schedule, rng)
     schedule[:] = 3
     assert dataset.items.tolist() == [1, 2, 2, 3] and not dataset.items.flags.writeable
+
+
+def _drawn_by_width(model, schedule, rng):
+    """(offsets, items, choices) of a schedule of sorted sets, each width's records
+    drawn by one ``_draw_choices`` call over all of them, from one ``rng.random(n)``."""
+    offsets, items = _csr(schedule)
+    sizes = np.diff(offsets)
+    uniforms = rng.random(sizes.size)
+    choices = np.empty(sizes.size, dtype=np.int64)
+    for k in np.unique(sizes).tolist():
+        rec = np.flatnonzero(sizes == k)
+        choices[rec] = _draw_choices(model, items[offsets[rec, None] + np.arange(k)],
+                                     uniforms[rec])
+    return offsets, items, choices
+
+
+@pytest.mark.parametrize("case", ["exp1", "mixed widths"])
+def test_generate_dataset_across_draw_blocks(case, monkeypatch):
+    # a block draws _BLOCK_ENTRIES // (k + 1) records of width k: the records of
+    # each case's most common width span several blocks
+    rng = np.random.default_rng(29)
+    if case == "exp1":
+        model, factory = instance_sample_efficiency()
+        schedule = factory(20011, rng)
+        widths = [3] * len(schedule)
+    else:  # widths 1..60, with 700 records of width 60 and 2000 of width 20,
+        # over attractions from 1e-4 to 1e4
+        model = MnlModel(attractions=np.geomspace(1e-4, 1e4, 60)[rng.permutation(60)],
+                         revenues=np.ones(60))
+        widths = rng.permutation([*range(1, 61), *[60] * 700, *[20] * 2000]).tolist()
+        schedule = [np.sort(rng.choice(60, size=k, replace=False) + 1) for k in widths]
+    k = max(set(widths), key=widths.count)
+    assert widths.count(k) > 2 * robust._BLOCK_ENTRIES // (k + 1)
+    ref = np.random.default_rng()
+    ref.bit_generator.state = rng.bit_generator.state
+    calls = []
+    count = estimation._count
+    monkeypatch.setattr(estimation, "_count", lambda *args: calls.append(1) or count(*args))
+    dataset = generate_dataset(model, schedule, rng)
+    counts = rank_breaking(dataset, model.n_items)
+    assert not calls  # the dataset came counted
+    offsets, items, choices = _drawn_by_width(model, schedule, ref)
+    for name, expected in (("offsets", offsets), ("items", items), ("choices", choices)):
+        assert np.array_equal(getattr(dataset, name), expected)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    recounted = count(OfflineDataset.from_arrays(offsets, items, choices), model.n_items)
+    for name in ("wins", "duels", "offered", "n"):
+        assert np.array_equal(getattr(counts, name), getattr(recounted, name))
 
 
 def test_perturb_prior_round_trip_and_bucket(rng):
